@@ -8,7 +8,6 @@ from .gcore import (
     ConstantPolicy,
     GParams,
     ScenarioFamily,
-    TimeVaryingPolicy,
     VolatilityPolicy,
     capacity_estimate,
     default_scenario_family,

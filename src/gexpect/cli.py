@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config import RunConfig, load_config
 from .gcore import default_scenario_family
 from .gheat import gnormal_expect
@@ -39,7 +37,6 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-paths", type=int, default=None)
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
     p.add_argument("--nx", type=int, default=None, help="PDE grid nodes")
-    p.add_argument("--x-span", type=float, default=None, help="PDE half-width")
     p.add_argument("--cfl-safety", type=float, default=None)
     p.add_argument("--digits", type=int, default=None,
                    help="printing precision (significant digits)")
@@ -54,7 +51,6 @@ def _build_config(args) -> RunConfig:
         n_paths=args.n_paths,
         out_dir=args.out,
         nx=args.nx,
-        x_span=args.x_span,
         cfl_safety=args.cfl_safety,
         digits=args.digits,
     )

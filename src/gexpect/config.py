@@ -20,7 +20,6 @@ class RunConfig:
     seed: int = 0
     sigma_refinement: int = 0
     cfl_safety: float = 2.0
-    x_span: float | None = None
     out_dir: str = "."
     timing: bool = True
     digits: int = 12
@@ -49,7 +48,6 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
 def _parse_value(name: str, text: str):
-    kind = RunConfig.__dataclass_fields__[name].type
     text = text.strip()
     if name in ("n_steps", "nx", "n_paths", "seed", "sigma_refinement", "digits"):
         return int(text)
@@ -57,8 +55,6 @@ def _parse_value(name: str, text: str):
         return _BOOL[text.lower()]
     if name == "out_dir":
         return text
-    if name == "x_span":
-        return None if text.lower() in ("", "none") else float(text)
     return float(text)
 
 
@@ -92,8 +88,6 @@ def save_config(cfg: RunConfig, path: str) -> None:
         if f.name == "tol":
             continue
         v = getattr(cfg, f.name)
-        if f.name == "x_span" and v is None:
-            v = "none"
         if f.name == "timing":
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")

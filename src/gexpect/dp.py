@@ -6,20 +6,22 @@ States are integer row vectors; each builder below chooses coordinates that
 make its functional an exact function of the state (net step counts per
 volatility, per-volatility step totals for the quadratic variation, scaled
 integer units for running integrals).  The forward pass enumerates reachable
-states level by level with deduplication; the backward pass takes, at every
-state, the maximum over volatility choices of the branch average plus an
-optional per-step reward, resolving ties toward the smallest volatility.
+states level by level with deduplication; the backward pass applies, at every
+state, the lattice's backward-step rule (:func:`gexpect.glattice.backward_step`):
+the maximum over volatility choices of the branch average plus an optional
+per-step reward, resolving ties toward the smallest volatility.  Callers derive
+a problem from a builder's spec with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .glattice import Lattice
+from .glattice import Lattice, backward_step
 
 __all__ = [
     "WalkSpec",
@@ -86,7 +88,7 @@ def run_walk(spec: WalkSpec, stop_levels=(), max_states: int = 5_000_000) -> Wal
 
     states = np.asarray(spec.init_state, dtype=np.int64).reshape(1, -1)
     level_states = [states]
-    # child index maps: maps[k][(i_sigma, sign)] = indices into states at k+1
+    # child index maps: maps[k][i_sigma] = (up, down) indices into states at k+1
     maps = []
     for k in range(n):
         children = []
@@ -106,14 +108,10 @@ def run_walk(spec: WalkSpec, stop_levels=(), max_states: int = 5_000_000) -> Wal
         # reversed so that earlier occurrences win
         first[inverse[::-1]] = np.arange(stacked.shape[0] - 1, -1, -1)
         next_states = stacked[first]
-        m = states.shape[0]
-        level_maps = {}
-        pos = 0
-        for i in range(len(grid)):
-            for sign in (1, -1):
-                level_maps[(i, sign)] = inverse[pos : pos + m].astype(np.int64)
-                pos += m
-        maps.append(level_maps)
+        # separate copies, not views of one block per level: the block layout
+        # measured 5-10% more peak RSS on n=100 walks
+        parts = [p.astype(np.int64) for p in np.split(inverse, 2 * len(grid))]
+        maps.append(list(zip(parts[::2], parts[1::2])))
         level_states.append(next_states)
         states = next_states
 
@@ -123,19 +121,11 @@ def run_walk(spec: WalkSpec, stop_levels=(), max_states: int = 5_000_000) -> Wal
         stops[n] = (level_states[n], values.copy())
     for k in range(n - 1, -1, -1):
         st = level_states[k]
-        best = None
-        for i in range(len(grid)):
-            up = values[maps[k][(i, 1)]]
-            dn = values[maps[k][(i, -1)]]
-            cand = 0.5 * (up + dn)
-            if spec.reward is not None:
-                cand = cand + spec.reward(k, st, grid[i])
-            if best is None:
-                best = cand
-            else:
-                mask = cand > best
-                best[mask] = cand[mask]
-        values = best
+        averages = (0.5 * (values[up] + values[down]) for up, down in maps[k])
+        reward = None
+        if spec.reward is not None:
+            reward = lambda i: spec.reward(k, st, grid[i])
+        values, _ = backward_step(averages, reward)
         if k in stop_levels:
             stops[k] = (st, values.copy())
     return WalkResult(value=float(values[0]), stops=stops)
@@ -208,15 +198,13 @@ def qv_coord_walk(lat: Lattice) -> WalkSpec:
             qv = dt * (m @ s2[:-1] + m_last * s2[-1])
         return pos, qv
 
-    spec = WalkSpec(
+    return WalkSpec(
         lattice=lat,
         init_state=np.zeros(d, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode_with_level(s, lat.n_steps)[0],
-        decode=None,
+        decode=decode_with_level,
     )
-    spec.decode = decode_with_level
-    return spec
 
 
 def weighted_coord_walk(lat: Lattice, level_values) -> WalkSpec:
@@ -288,33 +276,24 @@ def adapted_abs_walk(lat: Lattice) -> WalkSpec:
         integral = states[:, r] * (dt / scale) + pos
         return pos, integral
 
-    spec = WalkSpec(
+    return WalkSpec(
         lattice=lat,
         init_state=np.zeros(r + 1, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode(s)[1],
         decode=decode,
     )
-    return spec
 
 
 def reward_expect(lat: Lattice, reward, state_spec: WalkSpec | None = None,
                   stop_levels=()) -> WalkResult:
     """Upper expectation of an additive path functional sum_k r(k, state, sigma^2).
 
-    With no state dependence this is a scalar recursion; otherwise the reward
-    rides on the supplied walk's states.
+    With no state dependence this is a scalar recursion on a walk with one
+    state per level; otherwise the reward rides on the supplied walk's states.
     """
     if state_spec is None:
-        base = coord_walk(lat)
-    else:
-        base = state_spec
-    spec = WalkSpec(
-        lattice=lat,
-        init_state=base.init_state,
-        transition=base.transition,
-        terminal=lambda s: np.zeros(s.shape[0]),
-        reward=reward,
-        decode=base.decode,
-    )
+        state_spec = coord_walk(lat, active=np.zeros(lat.n_steps, dtype=bool))
+    spec = replace(state_spec, terminal=lambda s: np.zeros(s.shape[0]),
+                   reward=reward)
     return run_walk(spec, stop_levels=stop_levels)

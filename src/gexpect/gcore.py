@@ -21,7 +21,6 @@ __all__ = [
     "capacity_estimate",
     "VolatilityPolicy",
     "ConstantPolicy",
-    "TimeVaryingPolicy",
     "ScenarioFamily",
     "default_scenario_family",
 ]
@@ -97,18 +96,6 @@ class ConstantPolicy(VolatilityPolicy):
 
     def sigma_sq(self, level, positions, coords=None):
         return np.full(np.shape(positions), self.value)
-
-
-@dataclass(frozen=True)
-class TimeVaryingPolicy(VolatilityPolicy):
-    """sigma^2 as a deterministic function of time."""
-
-    fn: Callable[[float], float]
-    name: str = "time-varying"
-
-    def sigma_sq(self, level, positions, coords=None, *, t: float | None = None):
-        value = self.fn(t if t is not None else float(level))
-        return np.full(np.shape(positions), value)
 
 
 @dataclass(frozen=True)

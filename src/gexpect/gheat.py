@@ -10,7 +10,6 @@ a wide enough box.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "make_grid",
     "solve_gheat",
     "gnormal_expect",
-    "dump_grid_function",
 ]
 
 
@@ -68,9 +66,7 @@ def make_grid(
     t: float,
     params: GParams,
     nx: int = 401,
-    x_span: float | None = None,
     cfl_safety: float = 2.0,
-    center: float = 0.0,
 ) -> Grid1D:
     """Grid wide enough for horizon ``t``: half-width 6*sqrt(sigma_up^2 * t).
 
@@ -78,13 +74,12 @@ def make_grid(
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
-    if x_span is None:
-        x_span = 6.0 * math.sqrt(params.sigma_upper_sq * max(t, 1e-12))
+    x_span = 6.0 * math.sqrt(params.sigma_upper_sq * max(t, 1e-12))
     dx = 2.0 * x_span / (nx - 1)
     dt_max = dx**2 / (params.sigma_upper_sq * cfl_safety)
     nt = max(int(math.ceil(t / dt_max)), 1) if t > 0 else 0
     dt = t / nt if nt > 0 else dt_max
-    return Grid1D(x_min=center - x_span, x_max=center + x_span, nx=nx, dt=dt, nt=nt)
+    return Grid1D(x_min=-x_span, x_max=x_span, nx=nx, dt=dt, nt=nt)
 
 
 def _initial_values(phi: PayoffExpr, x: np.ndarray) -> np.ndarray:
@@ -139,12 +134,3 @@ def gnormal_expect(
     x = grid.x
     i = int(np.argmin(np.abs(x)))
     return float(sol.values[i])
-
-
-def dump_grid_function(gf: GridFunction, path: str) -> None:
-    """Write (x, u) rows as CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u"])
-        for xi, ui in zip(gf.grid.x, gf.values):
-            w.writerow([repr(float(xi)), repr(float(ui))])

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .payoff import PayoffExpr, arity, eval_expr, to_str
 __all__ = [
     "Lattice",
     "build_lattice",
+    "backward_step",
     "CylinderFunctional",
     "ConditionalTable",
     "lattice_expect",
@@ -85,9 +85,6 @@ class Lattice:
     @property
     def sigma_values(self) -> tuple:
         return tuple(math.sqrt(s) for s in self.sigma_grid)
-
-    def level_time(self, k: int) -> float:
-        return k * self.dt
 
     def level_of_time(self, t: float) -> int:
         k = t / self.dt
@@ -165,28 +162,41 @@ def _shift(a: np.ndarray, axis: int, d: int) -> np.ndarray:
     return out
 
 
-def _dp_step(values: np.ndarray, n_sigma: int, record: bool):
-    """One backward step: max over volatility choices of the branch average.
+def backward_step(averages, reward=None, record: bool = False):
+    """The backward-step rule shared by the lattice sweep and ``dp.run_walk``.
 
-    The choice axes are the last ``n_sigma`` array axes.  Ties keep the
-    smallest volatility (choices scanned in ascending order, strict update).
+    ``averages`` yields, one volatility choice at a time in ascending order,
+    the branch average 0.5 * (up + down) of every node; ``reward(j)``, if
+    given, is added to the average of choice j.  Returns the nodewise maximum
+    over choices and, with ``record``, the int8 index of the winning choice
+    (else None).  Ties keep the smallest volatility: a later choice wins only
+    where it is strictly larger.  Callers build each average from temporaries,
+    which numpy sums in place.
     """
     best = None
     pol = None
-    nd = values.ndim
-    for j in range(n_sigma):
-        ax = nd - n_sigma + j
-        cand = 0.5 * (_shift(values, ax, 1) + _shift(values, ax, -1))
+    for j, cand in enumerate(averages):
+        if reward is not None:
+            cand = cand + reward(j)
         if best is None:
             best = cand
             if record:
-                pol = np.zeros(values.shape, dtype=np.int8)
+                pol = np.zeros(cand.shape, dtype=np.int8)
         else:
             mask = cand > best
             best[mask] = cand[mask]
             if record:
                 pol[mask] = j
     return best, pol
+
+
+def _dp_step(values: np.ndarray, n_sigma: int, record: bool):
+    """One backward step over the choice axes, the last ``n_sigma`` axes."""
+    averages = (
+        0.5 * (_shift(values, ax, 1) + _shift(values, ax, -1))
+        for ax in range(values.ndim - n_sigma, values.ndim)
+    )
+    return backward_step(averages, record=record)
 
 
 def _segment_abs_grid(L: int, n_sigma: int) -> np.ndarray:
@@ -251,22 +261,6 @@ class ConditionalTable:
         for L in self.seg_lengths:
             pos = np.add.outer(pos, _segment_delta(L, sv, sqdt))
         return np.broadcast_to(pos, self.values.shape).copy()
-
-    def segment_deltas(self) -> list:
-        """Per-segment increments, each broadcast to the full table shape."""
-        sv = self.lattice.sigma_values
-        sqdt = math.sqrt(self.lattice.dt)
-        n_sigma = self.lattice.n_sigma
-        out = []
-        for i, L in enumerate(self.seg_lengths):
-            d = _segment_delta(L, sv, sqdt)
-            shape = [1] * (len(self.seg_lengths) * n_sigma)
-            for j in range(n_sigma):
-                shape[i * n_sigma + j] = 2 * L + 1
-            out.append(
-                np.broadcast_to(d.reshape(shape), self.values.shape).copy()
-            )
-        return out
 
     def value_at_origin(self) -> float:
         idx = tuple(
@@ -509,13 +503,7 @@ def sample_paths(
             if np.any(s2 < lo - 1e-12) or np.any(s2 > hi + 1e-12):
                 raise ValueError(f"policy value outside the band at step {k}")
             if want_coords:
-                sidx = np.searchsorted(grid, s2)
-                sidx = np.clip(sidx, 0, len(grid) - 1)
-                near = np.abs(grid[sidx] - s2) <= 1e-12
-                left_ok = sidx > 0
-                alt = np.where(left_ok, sidx - 1, sidx)
-                use_alt = ~near & (np.abs(grid[alt] - s2) <= 1e-12)
-                sidx = np.where(use_alt, alt, sidx)
+                sidx = np.argmin(np.abs(grid[:, None] - s2), axis=0)
                 if np.any(np.abs(grid[sidx] - s2) > 1e-12):
                     raise ValueError(
                         "track_coords requires grid-aligned volatility choices"

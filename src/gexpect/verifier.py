@@ -6,6 +6,10 @@ scenario-max Monte Carlo where a running supremum over paths is involved)
 and emits a structured report.  Negative controls — processes that must fail
 a check — are first-class and marked expected_fail, so the suite encodes the
 sharpness of the statements, not just their truth.
+
+The walk-based martingale checks share two helpers: ``_walk_gap``, the largest
+nodewise |E[F_n + rewards | H_l] - F_l| over stop levels l, and ``_asymmetry``,
+the largest |E[F_n | H_s] + E[-F_n | H_s]|, zero for a symmetric martingale.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .dp import (
     weighted_coord_walk,
 )
 from .gcore import capacity_estimate, default_scenario_family, g_eval
-from .gheat import gnormal_expect, make_grid
+from .gheat import gnormal_expect
 from .glattice import (
     CylinderFunctional,
     build_lattice,
@@ -37,7 +41,7 @@ from .glattice import (
     lattice_expect,
     sample_paths,
 )
-from .payoff import parse
+from .payoff import eval_expr, parse
 from .stochastic import StepProcess, g_compensated, ito_integral, qv_identity_gap
 
 __all__ = [
@@ -106,13 +110,33 @@ def _grid_aligned_scenarios(family):
     return [family.by_name(n) for n in ("const-max", "const-min", "alternating")]
 
 
-def _trivial_walk(lat) -> WalkSpec:
-    return WalkSpec(
-        lattice=lat,
-        init_state=np.zeros(1, dtype=np.int64),
-        transition=lambda k, s, i, sg: s,
-        terminal=lambda s: np.zeros(s.shape[0]),
+def _zero(states, level=None):
+    return np.zeros(states.shape[0])
+
+
+def _walk_gap(spec, F, stops, reward=None):
+    """Largest nodewise |E[F_n + rewards from l on | H_l] - F_l| over the stop
+    levels l, on ``spec``'s states; F(states, level) is the process."""
+    n = spec.lattice.n_steps
+    walk = replace(spec, terminal=lambda st: F(st, n), reward=reward)
+    res = run_walk(walk, stop_levels=stops)
+    return max(
+        float(np.max(np.abs(values - F(states, lvl))))
+        for lvl, (states, values) in res.stops.items()
     )
+
+
+def _asymmetry(spec, F, s):
+    """Largest |E[F_n | H_s] + E[-F_n | H_s]| over the level-s states, taken as
+    the up-drift E[F_n | H_s] - F_s plus the down-drift E[-F_n | H_s] + F_s.
+    A symmetric martingale has zero; the sublinear expectation alone does not
+    force it."""
+    n = spec.lattice.n_steps
+    up = run_walk(replace(spec, terminal=lambda st: F(st, n)), stop_levels=(s,))
+    dn = run_walk(replace(spec, terminal=lambda st: -F(st, n)), stop_levels=(s,))
+    states, values = up.stops[s]
+    f_s = F(states, s)
+    return float(np.max(np.abs((values - f_s) + (dn.stops[s][1] + f_s))))
 
 
 # --- moments and cross-backend agreement ------------------------------------
@@ -195,9 +219,6 @@ def check_conditional_algebra(cfg: RunConfig):
     mask = next(iter(base.values())).valid_mask()
     pos = next(iter(base.values())).positions()
 
-    def gap_abs(t1, t2):
-        return float(np.max(np.abs(t1.values[mask] - t2.values[mask])))
-
     reports = []
 
     # (i) monotonicity: X <= X + |x2| pointwise implies the same for conditionals
@@ -211,7 +232,7 @@ def check_conditional_algebra(cfg: RunConfig):
     g = -np.inf
     for text in ("x1", "abs(x1)", "x1^2 - 1", "max(x1, 0)"):
         t = table(text)
-        direct = np.asarray(parse_eval(text, pos), dtype=float)
+        direct = np.asarray(eval_expr(parse(text), [pos]), dtype=float)
         g = max(g, float(np.max(np.abs(t.values[mask] - direct[mask]))))
     reports.append(_report("cond-measurable", "equality", g, 0.0, tol, "lattice-DP"))
 
@@ -234,7 +255,7 @@ def check_conditional_algebra(cfg: RunConfig):
         t_prod = table(f"({eta_s}) * ({x_s})")
         t_x = table(x_s)
         t_negx = table(f"-({x_s})")
-        eta = np.asarray(parse_eval(eta_s, pos), dtype=float)
+        eta = np.asarray(eval_expr(parse(eta_s), [pos]), dtype=float)
         rhs = np.maximum(eta, 0) * t_x.values + np.maximum(-eta, 0) * t_negx.values
         g = max(g, float(np.max(np.abs(t_prod.values[mask] - rhs[mask]))))
     reports.append(_report("cond-pullout", "equality", g, 0.0, tol, "lattice-DP"))
@@ -263,12 +284,6 @@ def check_conditional_algebra(cfg: RunConfig):
             via5.values[m2] - caps[2].values[m2]))))
     reports.append(_report("cond-tower", "equality", g, 0.0, tol, "lattice-DP"))
     return reports
-
-
-def parse_eval(text, arg):
-    from .payoff import eval_expr
-
-    return eval_expr(parse(text), [arg])
 
 
 # --- path-level identities ----------------------------------------------------
@@ -330,47 +345,31 @@ def check_isometry(cfg: RunConfig):
         ("ind[T/2,T)", np.arange(n) >= n // 2),
     ):
         spec = coord_walk(lat, active=active)
-        decode = spec.decode
-        spec.terminal = lambda s, d=decode: d(s) ** 2
-        lhs = run_walk(spec).value
-        base = coord_walk(lat, active=active)
-        act = active
+        lhs = run_walk(replace(spec, terminal=lambda s: spec.decode(s) ** 2)).value
 
-        def reward(k, states, s2, act=act):
+        def reward(k, states, s2, act=active):
             v = s2 * dt if act[k] else 0.0
             return np.full(states.shape[0], v)
 
-        rhs_spec = WalkSpec(lattice=lat, init_state=base.init_state,
-                            transition=base.transition,
-                            terminal=lambda s: np.zeros(s.shape[0]),
-                            reward=reward)
-        rhs = run_walk(rhs_spec).value
+        rhs = run_walk(replace(spec, terminal=_zero, reward=reward)).value
         dual(name, lhs, rhs)
 
     # eta == B: integral via the pathwise identity int B dB = (B^2 - <B>)/2
     spec = qv_coord_walk(lat)
-    decode = spec.decode
 
-    def terminal(states, d=decode):
-        pos, qv = d(states, n)
+    def terminal(states):
+        pos, qv = spec.decode(states, n)
         return 0.25 * (pos**2 - qv) ** 2
 
-    spec.terminal = terminal
-    lhs = run_walk(spec).value
+    lhs = run_walk(replace(spec, terminal=terminal)).value
 
     base = coord_walk(lat)
-    sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(dt)
 
     def reward_b(k, states, s2):
-        posv = states @ (sv * sqdt)
+        posv = base.decode(states)
         return posv**2 * s2 * dt
 
-    rhs_spec = WalkSpec(lattice=lat, init_state=base.init_state,
-                        transition=base.transition,
-                        terminal=lambda s: np.zeros(s.shape[0]),
-                        reward=reward_b)
-    rhs = run_walk(rhs_spec).value
+    rhs = run_walk(replace(base, terminal=_zero, reward=reward_b)).value
     dual("B", lhs, rhs)
     return reports
 
@@ -544,49 +543,25 @@ def check_bdg(cfg: RunConfig):
 # --- martingale characterizations ----------------------------------------------
 
 
-def _condition_gaps(lat, spec_builder, f_sq_of, m_of, stop_levels, params):
+def _condition_gaps(spec, M, f_sq_of, stop_levels, params):
     """Max nodewise gaps of the three martingale conditions for M = int f dB.
 
-    spec_builder() -> a fresh WalkSpec whose decode yields M at a level;
-    f_sq_of(level, states) -> f^2 at that level (per state);
-    m_of(spec, states, level) -> M values per state.
+    M(states, level) -> M values per state of ``spec``;
+    f_sq_of(level, states) -> f^2 at that level (per state).
     """
-    dt = lat.dt
+    dt = spec.lattice.dt
     s0 = params.sigma_lower_sq
-    gaps = {}
-
-    # (i) symmetric martingale: terminal +-M, conditional must be +-M_s
-    for sign, tag in ((1.0, "sym+"), (-1.0, "sym-")):
-        spec = spec_builder()
-        spec.terminal = (
-            lambda s, sp=spec, sg=sign: sg * m_of(sp, s, lat.n_steps)
-        )
-        res = run_walk(spec, stop_levels=stop_levels)
-        g = 0.0
-        for lvl, (states, values) in res.stops.items():
-            g = max(g, float(np.max(np.abs(values - sign * m_of(spec, states, lvl)))))
-        gaps[tag] = g
-
-    # (ii) M^2 - int f^2 du: conditional of M_T^2 - int_s^T f^2 du must be M_s^2
-    spec = spec_builder()
-    spec.terminal = lambda s, sp=spec: m_of(sp, s, lat.n_steps) ** 2
-    spec.reward = lambda k, states, s2: -f_sq_of(k, states) * dt
-    res = run_walk(spec, stop_levels=stop_levels)
-    g = 0.0
-    for lvl, (states, values) in res.stops.items():
-        g = max(g, float(np.max(np.abs(values - m_of(spec, states, lvl) ** 2))))
-    gaps["quad"] = g
-
-    # (iii) -M^2 + sigma_lo^2 int f^2 du: conditional must be -M_s^2
-    spec = spec_builder()
-    spec.terminal = lambda s, sp=spec: -(m_of(sp, s, lat.n_steps) ** 2)
-    spec.reward = lambda k, states, s2: s0 * f_sq_of(k, states) * dt
-    res = run_walk(spec, stop_levels=stop_levels)
-    g = 0.0
-    for lvl, (states, values) in res.stops.items():
-        g = max(g, float(np.max(np.abs(values + m_of(spec, states, lvl) ** 2))))
-    gaps["lower-quad"] = g
-    return gaps
+    return {
+        # (i) symmetric martingale: terminal +-M, conditional must be +-M_s
+        "sym+": _walk_gap(spec, M, stop_levels),
+        "sym-": _walk_gap(spec, lambda st, l: -M(st, l), stop_levels),
+        # (ii) conditional of M_T^2 - int_s^T f^2 du must be M_s^2
+        "quad": _walk_gap(spec, lambda st, l: M(st, l) ** 2, stop_levels,
+                          lambda k, states, s2: -f_sq_of(k, states) * dt),
+        # (iii) conditional of -M_T^2 + sigma_lo^2 int_s^T f^2 du must be -M_s^2
+        "lower-quad": _walk_gap(spec, lambda st, l: -(M(st, l) ** 2), stop_levels,
+                                lambda k, states, s2: s0 * f_sq_of(k, states) * dt),
+    }
 
 
 def check_representation(cfg: RunConfig):
@@ -607,26 +582,18 @@ def check_representation(cfg: RunConfig):
     scen = _grid_aligned_scenarios(family)
     reports = []
 
-    cases = []  # (name, n, walk builder, f_sq_of, eta StepProcess)
-    for c in (1.0, 2.0):
-        n = 64
-        lat = build_lattice(T, n, params, cfg.sigma_refinement)
-        vals = np.full(n, c)
+    cases = []  # (name, walk, M, f_sq_of, eta StepProcess)
+    steps = [(f"const{c:g}", np.full(64, c), StepProcess.constant(c)) for c in (1.0, 2.0)]
+    steps.append(("step", np.where(np.arange(32) < 16, 1.0, 1.5),
+                  StepProcess((0, 16), (1.0, 1.5), name="step")))
+    for name, vals, eta in steps:
+        lat = build_lattice(T, len(vals), params, cfg.sigma_refinement)
+        spec = weighted_coord_walk(lat, vals)
         cases.append((
-            f"const{c:g}", lat,
-            lambda lat=lat, vals=vals: weighted_coord_walk(lat, vals),
+            name, spec, lambda st, l, d=spec.decode: d(st),
             lambda k, states, vals=vals: np.full(states.shape[0], vals[k] ** 2),
-            StepProcess.constant(c),
+            eta,
         ))
-    n = 32
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
-    step_vals = np.where(np.arange(n) < n // 2, 1.0, 1.5)
-    cases.append((
-        "step", lat,
-        lambda lat=lat, vals=step_vals: weighted_coord_walk(lat, vals),
-        lambda k, states, vals=step_vals: np.full(states.shape[0], vals[k] ** 2),
-        StepProcess((0, n // 2), (1.0, 1.5), name="step"),
-    ))
     n = 12
     lat = build_lattice(T, n, params, cfg.sigma_refinement)
     sv = np.asarray(lat.sigma_values)
@@ -636,22 +603,18 @@ def check_representation(cfg: RunConfig):
         pos = states[:, : len(sv)] @ (sv * sqdt)
         return (np.abs(pos) + 1.0) ** 2
 
+    spec = adapted_abs_walk(lat)
     cases.append((
-        "abs(B)+1", lat,
-        lambda lat=lat: adapted_abs_walk(lat),
+        "abs(B)+1", spec, lambda st, l, d=spec.decode: d(st)[1],
         f_sq_abs,
         StepProcess.adapted(lambda x: np.abs(x) + 1.0, n, name="abs(B)+1"),
     ))
 
-    for name, lat, builder, f_sq_of, eta in cases:
+    for name, spec, M, f_sq_of, eta in cases:
+        lat = spec.lattice
         n = lat.n_steps
         stops = sorted({0, n // 4, n // 2, 3 * n // 4})
-
-        def m_of(spec, states, level):
-            d = spec.decode(states)
-            return d[1] if isinstance(d, tuple) else d
-
-        gaps = _condition_gaps(lat, builder, f_sq_of, m_of, stops, params)
+        gaps = _condition_gaps(spec, M, f_sq_of, stops, params)
         worst = max(gaps.values())
         reports.append(
             _report(f"representation:{name}", "equality", worst, 0.0, tol,
@@ -677,10 +640,11 @@ def check_representation(cfg: RunConfig):
     n = 32
     lat = build_lattice(T, n, params, cfg.sigma_refinement)
     spec = coord_walk(lat)
-    decode = spec.decode
-    spec.terminal = lambda s, d=decode: (2.0 * d(s)) ** 2
-    spec.reward = lambda k, states, s2: -np.full(states.shape[0], lat.dt)
-    res = run_walk(spec, stop_levels=(0,))
+    res = run_walk(
+        replace(spec, terminal=lambda s: (2.0 * spec.decode(s)) ** 2,
+                reward=lambda k, states, s2: -np.full(states.shape[0], lat.dt)),
+        stop_levels=(0,),
+    )
     v0 = float(res.stops[0][1][0])  # E[M_T^2 - int_0^T 1 du | H_0], M_0 = 0
     slope = (v0 + T) / T  # measured growth rate of E[M_t^2 | H_0]
     reports.append(
@@ -745,17 +709,7 @@ def check_gbm_characterization(cfg: RunConfig):
 
     # negative control: <B> - t is not a symmetric martingale
     spec = qv_coord_walk(lat)
-    decode = spec.decode
-    spec.terminal = lambda st, d=decode: d(st, n)[1] - T
-    res = run_walk(spec, stop_levels=(s,))
-    states, values = res.stops[s]
-    _, qv_s = decode(states, s)
-    up = values - (qv_s - t_s)  # E[<B>_T - T | H_s] minus the current value
-    spec2 = qv_coord_walk(lat)
-    spec2.terminal = lambda st, d=spec2.decode: -(d(st, n)[1] - T)
-    res2 = run_walk(spec2, stop_levels=(s,))
-    dn = res2.stops[s][1] + (qv_s - t_s)
-    asym = float(np.max(np.abs(up + dn)))
+    asym = _asymmetry(spec, lambda st, l: spec.decode(st, l)[1] - l * lat.dt, s)
     expected_gap = (T - t_s) * (params.sigma_upper_sq - params.sigma_lower_sq)
     reports.append(
         _report("gbm-characterization:qv-minus-t", "equality", asym, 0.0, tol,
@@ -774,36 +728,23 @@ def check_symmetric_martingale(cfg: RunConfig):
     s = n // 2
     reports = []
 
+    spec = qv_coord_walk(lat)
+
     # int B dB = (B^2 - <B>)/2 is a symmetric martingale
-    gaps = []
-    for sign in (1.0, -1.0):
-        spec = qv_coord_walk(lat)
-        decode = spec.decode
-        spec.terminal = (
-            lambda st, d=decode, sg=sign: sg * 0.5 * (d(st, n)[0] ** 2 - d(st, n)[1])
-        )
-        res = run_walk(spec, stop_levels=(s,))
-        states, values = res.stops[s]
-        pos, qv = decode(states, s)
-        gaps.append(float(np.max(np.abs(values - sign * 0.5 * (pos**2 - qv)))))
+    def ito(st, l):
+        pos, qv = spec.decode(st, l)
+        return 0.5 * (pos**2 - qv)
+
+    gap = max(_walk_gap(spec, ito, (s,)),
+              _walk_gap(spec, lambda st, l: -ito(st, l), (s,)))
     reports.append(
-        _report("symmetric-martingale:int-B-dB", "equality", max(gaps), 0.0,
+        _report("symmetric-martingale:int-B-dB", "equality", gap, 0.0,
                 tol, "augmented-DP")
     )
 
-    # <B> passes the upper test with drift but fails symmetry (expected fail)
-    spec = qv_coord_walk(lat)
-    decode = spec.decode
-    spec.terminal = lambda st, d=decode: d(st, n)[1]
-    res = run_walk(spec, stop_levels=(s,))
-    states, values = res.stops[s]
-    _, qv_s = decode(states, s)
-    up_drift = values - qv_s  # = (T - t_s) * sigma_up^2 at every node
-    spec2 = qv_coord_walk(lat)
-    spec2.terminal = lambda st, d=spec2.decode: -d(st, n)[1]
-    res2 = run_walk(spec2, stop_levels=(s,))
-    dn_drift = res2.stops[s][1] + qv_s  # = -(T - t_s) * sigma_lo^2
-    asym = float(np.max(np.abs(up_drift + dn_drift)))
+    # <B> passes the upper test with drift but fails symmetry (expected fail):
+    # its up-drift is (T - t_s) * sigma_up^2 and its down-drift -(T - t_s) * sigma_lo^2
+    asym = _asymmetry(spec, lambda st, l: spec.decode(st, l)[1], s)
     predicted = (T - s * lat.dt) * (params.sigma_upper_sq - params.sigma_lower_sq)
     reports.append(
         _report("symmetric-martingale:qv", "equality", asym, 0.0, tol,
@@ -840,17 +781,18 @@ def check_additivity(cfg: RunConfig):
     t_s = s * lat.dt
     T = cfg.horizon
     spec = qv_coord_walk(lat)
-    decode = spec.decode
 
     # E[B_T^2 - (qv_T - qv_s) | H_s] via reward DP
-    spec.terminal = lambda st, d=decode: d(st, n)[0] ** 2
-    spec.reward = lambda k, states, s2: (
-        -np.full(states.shape[0], s2 * lat.dt) if k >= s
-        else np.zeros(states.shape[0])
+    res = run_walk(
+        replace(spec, terminal=lambda st: spec.decode(st, n)[0] ** 2,
+                reward=lambda k, states, s2: (
+                    -np.full(states.shape[0], s2 * lat.dt) if k >= s
+                    else np.zeros(states.shape[0])
+                )),
+        stop_levels=(s,),
     )
-    res = run_walk(spec, stop_levels=(s,))
     states, joint = res.stops[s]
-    pos_s, _ = decode(states, s)
+    pos_s, _ = spec.decode(states, s)
     # separate pieces
     e_x = pos_s**2 + params.sigma_upper_sq * (T - t_s)
     e_y = -params.sigma_lower_sq * (T - t_s)
@@ -900,16 +842,12 @@ def check_transfer(cfg: RunConfig):
             dqv = dt * (m @ s2g[:-1] + m_last * s2g[-1])
         return b_s, b_t, dqv
 
+    spec = WalkSpec(lattice=lat, init_state=np.zeros(d, dtype=np.int64),
+                    transition=transition, terminal=None)
     worst = 0.0
     for xi in (1.0, -1.0):
         vals = []
         for which in ("qv", "sq", "diff"):
-            spec = WalkSpec(
-                lattice=lat,
-                init_state=np.zeros(d, dtype=np.int64),
-                transition=transition,
-                terminal=None,
-            )
 
             def terminal(states, which=which, xi=xi):
                 b_s, b_t, dqv = decode(states, n)
@@ -920,8 +858,7 @@ def check_transfer(cfg: RunConfig):
                     return base + xi * (b_t - b_s) ** 2
                 return base + xi * (b_t**2 - b_s**2)
 
-            spec.terminal = terminal
-            vals.append(run_walk(spec).value)
+            vals.append(run_walk(replace(spec, terminal=terminal)).value)
         worst = max(worst, max(vals) - min(vals))
     return [_report("transfer", "equality", worst, 0.0, tol, "augmented-DP")]
 
@@ -936,17 +873,17 @@ def check_compensator(cfg: RunConfig):
     family = default_scenario_family(params)
     tol_dp = cfg.tol.get("compensator", 1e-8)
     dt = lat.dt
-    sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(dt)
     reports = []
     n_paths = 5000
 
-    cases = [
-        ("const1", StepProcess.constant(1.0), None),
-        ("const-1", StepProcess.constant(-1.0), None),
-        ("B", StepProcess.adapted(lambda x: x, n, name="B"), "coord"),
+    still = coord_walk(lat, active=np.zeros(n, dtype=bool))  # one state per level
+    walk_b = coord_walk(lat)
+    cases = [  # (name, f, walk, f(states))
+        ("const1", StepProcess.constant(1.0), still, lambda st: np.full(st.shape[0], 1.0)),
+        ("const-1", StepProcess.constant(-1.0), still, lambda st: np.full(st.shape[0], -1.0)),
+        ("B", StepProcess.adapted(lambda x: x, n, name="B"), walk_b, walk_b.decode),
     ]
-    for name, f, state_kind in cases:
+    for name, f, spec, f_of in cases:
         # per-path monotonicity across every scenario
         worst_inc = -np.inf
         for i, pol in enumerate(family):
@@ -959,28 +896,11 @@ def check_compensator(cfg: RunConfig):
         )
 
         # conditional values of the compensated increment vanish identically
-        if state_kind == "coord":
-            base = coord_walk(lat)
+        def reward(k, states, s2, f_of=f_of):
+            fv = f_of(states)
+            return fv * s2 * dt - 2.0 * g_eval(fv, params) * dt
 
-            def reward(k, states, s2):
-                fv = states @ (sv * sqdt)
-                return fv * s2 * dt - 2.0 * g_eval(fv, params) * dt
-        else:
-            base = _trivial_walk(lat)
-            fval = f.interval_values[0]
-
-            def reward(k, states, s2, fv=fval):
-                return np.full(
-                    states.shape[0],
-                    fv * s2 * dt - 2.0 * float(g_eval(fv, params)) * dt,
-                )
-
-        spec = WalkSpec(lattice=lat, init_state=base.init_state,
-                        transition=base.transition,
-                        terminal=lambda st: np.zeros(st.shape[0]),
-                        reward=reward)
-        res = run_walk(spec, stop_levels=(0, n // 4, n // 2, 3 * n // 4))
-        g = max(float(np.max(np.abs(v))) for _, v in res.stops.values())
+        g = _walk_gap(spec, _zero, (0, n // 4, n // 2, 3 * n // 4), reward)
         reports.append(
             _report(f"compensator-martingale:{name}", "equality", g, 0.0,
                     tol_dp, "augmented-DP")

@@ -57,6 +57,12 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_removed_x_span_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expect", "--phi", "x1^2", "--x-span", "1"])
+    assert exc.value.code == 2
+
+
 def test_conditional_writes_table(tmp_path, capsys):
     out = tmp_path / "cond.csv"
     rc = main(["conditional", "--phi", "x1^2", "--j", "0",

@@ -30,7 +30,7 @@ def test_with_overrides_skips_none():
 
 
 def test_round_trip(tmp_path):
-    cfg = RunConfig(seed=42, n_steps=64, x_span=3.5, timing=False,
+    cfg = RunConfig(seed=42, n_steps=64, timing=False,
                     out_dir="results", tol={"isometry": 1e-6, "doob": 0.1})
     path = tmp_path / "run.cfg"
     save_config(cfg, str(path))
@@ -42,14 +42,12 @@ def test_file_parsing(tmp_path):
     path.write_text(
         "# a comment\n"
         "seed = 3   # trailing comment\n"
-        "x_span = none\n"
         "timing = false\n"
         "tol.moments-lattice = 1e-9\n"
         "\n"
     )
     cfg = load_config(str(path))
     assert cfg.seed == 3
-    assert cfg.x_span is None
     assert cfg.timing is False
     assert cfg.tol == {"moments-lattice": 1e-9}
 

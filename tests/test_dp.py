@@ -118,6 +118,17 @@ def test_reward_expect_scalar_recursion():
     assert res.value == pytest.approx(1.0, abs=1e-13)
 
 
+def test_reward_expect_without_state_walks_one_state_per_level():
+    lat = build_lattice(1.0, 8, PARAMS)
+    res = reward_expect(
+        lat, lambda k, states, s2: np.full(states.shape[0], s2 * lat.dt),
+        stop_levels=range(9),
+    )
+    assert sorted(res.stops) == list(range(9))
+    assert all(states.shape[0] == 1 for states, _ in res.stops.values())
+    assert res.value == pytest.approx(1.0, abs=1e-13)
+
+
 def test_stop_levels_capture_conditionals():
     lat = build_lattice(1.0, 6, PARAMS)
     spec = coord_walk(lat)

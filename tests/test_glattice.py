@@ -8,6 +8,7 @@ from gexpect.gcore import ConstantPolicy, GParams
 from gexpect.glattice import (
     CylinderFunctional,
     Lattice,
+    backward_step,
     build_lattice,
     conditional_expect,
     conditional_tables,
@@ -174,6 +175,44 @@ def test_conditional_level_beyond_horizon_raises():
     X = CylinderFunctional((4,), parse("x1"))
     with pytest.raises(ValueError):
         conditional_expect(lat, X, 5)
+
+
+# --- the backward-step rule ------------------------------------------------------------
+
+
+def test_backward_step_keeps_lowest_choice_on_exact_ties():
+    a = np.array([0.3, -1.0, 2.5])
+    best, pol = backward_step([a.copy(), a.copy()], record=True)
+    np.testing.assert_array_equal(best, a)
+    np.testing.assert_array_equal(pol, [0, 0, 0])
+    assert pol.dtype == np.int8
+
+
+def test_backward_step_strictly_larger_later_choice_wins():
+    def averages():
+        return [np.array([1.0, 1.0]), np.array([1.0, 3.0])]
+
+    best, pol = backward_step(averages(), record=True)
+    np.testing.assert_array_equal(best, [1.0, 3.0])
+    np.testing.assert_array_equal(pol, [0, 1])
+    best, pol = backward_step(averages(), reward=lambda j: -2.0 * j, record=True)
+    np.testing.assert_array_equal(best, [1.0, 1.0])
+    np.testing.assert_array_equal(pol, [0, 0])
+
+
+def test_backward_step_without_record_returns_no_policy():
+    best, pol = backward_step([np.array([1.0, 2.0]), np.array([0.0, 4.0])])
+    np.testing.assert_array_equal(best, [1.0, 4.0])
+    assert pol is None
+
+
+@pytest.mark.parametrize("refinement", [0, 1])
+def test_worst_policy_for_constant_payoff_is_lowest_choice(refinement):
+    lat = build_lattice(1.0, 6, PARAMS, refinement)
+    pol = extract_worst_policy(lat, CylinderFunctional((3, 6), parse("2")))
+    assert sorted(pol.frames) == list(range(6))
+    for _, choice in pol.frames.values():
+        assert np.all(np.asarray(choice) == 0)
 
 
 # --- policies and sampling --------------------------------------------------------------
