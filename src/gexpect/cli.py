@@ -2,6 +2,7 @@
 
 Commands: expect, conditional, simulate, verify, report.
 Exit codes: 0 success, 1 check failures, 2 usage error, 3 numeric error.
+Any other exception is a bug and propagates with its traceback.
 Precedence: command-line flags > config file > built-in defaults.
 """
 
@@ -13,7 +14,7 @@ import os
 import sys
 
 from .config import RunConfig, load_config
-from .gcore import default_scenario_family
+from .gcore import UsageError, default_scenario_family
 from .gheat import gnormal_expect
 from .glattice import (
     CylinderFunctional,
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PayoffSyntaxError, KeyError) as exc:
+    except (PayoffSyntaxError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError, RuntimeError,

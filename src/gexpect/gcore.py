@@ -19,6 +19,7 @@ __all__ = [
     "g_eval",
     "sublinear_expect",
     "capacity_estimate",
+    "UsageError",
     "VolatilityPolicy",
     "ConstantPolicy",
     "ScenarioFamily",
@@ -80,8 +81,24 @@ def capacity_estimate(prob_per_scenario: Sequence[float]) -> float:
     return float(np.max(probs))
 
 
+class UsageError(KeyError):
+    """A name given by the caller (a policy, a check id) is unknown.
+
+    The command line reports it as a usage error (exit code 2); any other
+    ``KeyError`` is a bug and is not reported as the caller's mistake.
+    """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
+
+
 class VolatilityPolicy:
-    """Per-step choice of variance rate sigma^2(level, node)."""
+    """Per-step choice of variance rate sigma^2(level, node).
+
+    Policies here choose from the level and the path positions.
+    ``glattice.LatticePolicy`` is node-indexed instead: the sampler looks its
+    choice up with ``sigma_index`` from the nodes' integer coordinates.
+    """
 
     name = "policy"
 
@@ -131,7 +148,7 @@ class ScenarioFamily:
         for p in self.scenarios:
             if p.name == name:
                 return p
-        raise KeyError(f"unknown policy name: {name!r}")
+        raise UsageError(f"unknown policy name: {name!r}")
 
 
 def default_scenario_family(params: GParams) -> ScenarioFamily:

@@ -3,26 +3,42 @@ expectations and conditional upper expectations of cylinder functionals,
 worst-case policy extraction, and seeded path sampling.
 
 State representation.  With volatility choice set {s_1 < ... < s_r} (variance
-rates), a node reached after k steps is described exactly by the net counts
-(c_1, ..., c_r) of up-minus-down moves taken at each volatility: the per-step
-increment under choice s_j is +-sqrt(s_j*dt), so the position is
-x = sum_j c_j*sqrt(s_j*dt).  Distinct count vectors need not recombine for
-generic volatility ratios; the integer representation keeps the backward
-induction exact.  A cylinder functional with anchor levels l_1 < ... < l_m
-gets one block of count axes per inter-anchor segment, and the backward pass
-collapses a block (all counts zero) each time it crosses the segment's start.
+rates), one step under choice j moves the path by +-sigma_j*sqrt(dt),
+sigma_j = sqrt(s_j).  A node has integer coordinates on the axes of a
+:class:`NodeBasis`: choice j moves it by ``steps[j]`` up or down, and axis a
+adds ``unit[a]*sqrt(dt)`` per unit to the position.  Each :class:`Lattice`
+picks its basis once:
 
-Validity: after e steps into a segment the reachable counts form the diamond
-sum_j |c_j| <= e with sum_j |c_j| = e (mod 2).  Backward values on the
-diamond for e elapsed steps only read values on the diamond for e+1 steps, so
-the NaN fill used at array edges never reaches a reachable node.
+- position basis, when sigma_j = q_j*u for small integers q_j (the default
+  band [0.25, 1] gives sigma = 0.5, 1, so q = (1, 2), u = 0.5): one axis with
+  steps +-q_j.  Nodes at the same position recombine, so an n-step segment
+  has 2*max(q)*n + 1 nodes;
+- count basis, otherwise (the usual case with interior grid points): one
+  axis of net up-minus-down counts per volatility, unit steps, unit sigma_j.
+  Count vectors need not recombine, so they keep the induction exact.
+
+The two bases give the same values up to roundoff in the node positions.  A
+cylinder functional with anchor levels l_1 < ... < l_m gets one block of basis
+axes per inter-anchor segment.
+
+Window.  A table holds each finished segment at its full length and the
+current one at its elapsed steps e: axis a spans |c_a| <= e*reach_a, where
+reach_a is the largest |step| on it.  A backward step reads ``v[c+step]`` and
+``v[c-step]`` as slice views and writes the window for e-1, shorter by
+reach_a at both ends of each axis, so every read stays in the array.  At e = 0
+the current segment's axes have one node, its start, and are dropped.
+
+Validity.  Not every node of a window is reachable: count vectors obey a
+diamond with parity, and positions can skip values.  ``valid_mask`` marks the
+reachable nodes exactly.  A reachable node reads only nodes one step away,
+which are reachable, so the finite values at other nodes never reach it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +46,7 @@ from .gcore import GParams, VolatilityPolicy
 from .payoff import PayoffExpr, arity, eval_expr, to_str
 
 __all__ = [
+    "NodeBasis",
     "Lattice",
     "build_lattice",
     "backward_step",
@@ -47,7 +64,82 @@ __all__ = [
     "policy_to_csv",
 ]
 
-_MAX_TABLE_CELLS = 200_000_000  # guard against runaway state spaces
+# Guard against runaway state spaces: the bytes a sweep may hold at once.
+_MAX_WORKSET_BYTES = 4 << 30
+# Peak bytes per cell of the largest table while a sweep runs: the table, the
+# running maximum, one choice's average, the mask and the masked copy.
+# tracemalloc measured 31-38 on 0.7-1.0 M-cell tables; a payoff that holds
+# several full-size temporaries at once while it is evaluated can exceed it.
+_STEP_BYTES_PER_CELL = 40
+# Largest integer step q_j = sigma_j / u of a position basis.
+_MAX_STEP = 16
+
+
+@dataclass(frozen=True)
+class NodeBasis:
+    """Integer node axes of one segment.
+
+    Choice j moves a node by ``steps[j]`` (one integer per axis) up or down;
+    a node with axis coordinates c lies sum_a c_a * unit[a] * sqrt(dt) from
+    its segment's start.
+    """
+
+    steps: tuple  # n_sigma tuples of n_axes ints
+    unit: tuple  # n_axes floats
+
+    @property
+    def n_axes(self) -> int:
+        return len(self.unit)
+
+    @property
+    def reach(self) -> tuple:
+        """Largest |step| per axis: how far one step moves along it."""
+        return tuple(max(abs(s[a]) for s in self.steps) for a in range(self.n_axes))
+
+    def axis_sizes(self, radius: int) -> tuple:
+        """Nodes per axis of a segment after ``radius`` steps."""
+        return tuple(2 * radius * w + 1 for w in self.reach)
+
+    def displacements(self, radius: int, sqdt: float) -> np.ndarray:
+        """Position of every node of a segment after ``radius`` steps."""
+        d = np.zeros(())
+        for w, u in zip(self.reach, self.unit):
+            R = radius * w
+            d = np.add.outer(d, np.arange(-R, R + 1) * (u * sqdt))
+        return d
+
+    def reachable(self, radius: int) -> np.ndarray:
+        """Mask of the nodes a segment reaches in exactly ``radius`` steps."""
+        cells = np.ones((1,) * self.n_axes, dtype=bool)
+        for k in range(1, radius + 1):
+            grown = np.zeros(self.axis_sizes(k), dtype=bool)
+            for s in self.steps:
+                for sign in (1, -1):
+                    grown[tuple(
+                        slice(w + sign * d, w + sign * d + n)
+                        for w, d, n in zip(self.reach, s, cells.shape)
+                    )] |= cells
+            cells = grown
+        return cells
+
+
+def _count_basis(sigma_values) -> NodeBasis:
+    r = len(sigma_values)
+    steps = tuple(tuple(int(a == j) for a in range(r)) for j in range(r))
+    return NodeBasis(steps=steps, unit=tuple(sigma_values))
+
+
+def _node_basis(sigma_values) -> NodeBasis:
+    """Position basis when every sigma_j is q_j * u, to roundoff, with
+    u = max(sigma) / den for some integer den <= _MAX_STEP; else the count
+    basis.  The smallest such den gives the largest unit."""
+    top = sigma_values[-1]
+    for den in range(1, _MAX_STEP + 1):
+        unit = top / den
+        q = [round(s / unit) for s in sigma_values]
+        if all(abs(qj * unit - s) <= 1e-12 * top for qj, s in zip(q, sigma_values)):
+            return NodeBasis(steps=tuple((qj,) for qj in q), unit=(unit,))
+    return _count_basis(sigma_values)
 
 
 @dataclass(frozen=True)
@@ -58,6 +150,7 @@ class Lattice:
     n_steps: int
     params: GParams
     sigma_grid: tuple
+    basis: NodeBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -73,6 +166,7 @@ class Lattice:
         if any(s < lo - 1e-12 or s > hi + 1e-12 for s in grid):
             raise ValueError("sigma_grid values must lie in the band")
         object.__setattr__(self, "sigma_grid", grid)
+        object.__setattr__(self, "basis", _node_basis(self.sigma_values))
 
     @property
     def dt(self) -> float:
@@ -85,6 +179,11 @@ class Lattice:
     @property
     def sigma_values(self) -> tuple:
         return tuple(math.sqrt(s) for s in self.sigma_grid)
+
+    @property
+    def count_basis(self) -> NodeBasis:
+        """Net counts per volatility: exact on every grid."""
+        return _count_basis(self.sigma_values)
 
     def level_of_time(self, t: float) -> int:
         k = t / self.dt
@@ -142,26 +241,6 @@ class CylinderFunctional:
 # --- dense DP machinery ----------------------------------------------------
 
 
-def _shift(a: np.ndarray, axis: int, d: int) -> np.ndarray:
-    """out[..., i, ...] = a[..., i+d, ...], NaN at the vacated edge."""
-    out = np.empty_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if d == 1:
-        dst[axis] = slice(0, -1)
-        src[axis] = slice(1, None)
-        edge = slice(-1, None)
-    else:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(0, -1)
-        edge = slice(0, 1)
-    out[tuple(dst)] = a[tuple(src)]
-    fill = [slice(None)] * a.ndim
-    fill[axis] = edge
-    out[tuple(fill)] = np.nan
-    return out
-
-
 def backward_step(averages, reward=None, record: bool = False):
     """The backward-step rule shared by the lattice sweep and ``dp.run_walk``.
 
@@ -190,31 +269,21 @@ def backward_step(averages, reward=None, record: bool = False):
     return best, pol
 
 
-def _dp_step(values: np.ndarray, n_sigma: int, record: bool):
-    """One backward step over the choice axes, the last ``n_sigma`` axes."""
+def _dp_step(values: np.ndarray, basis: NodeBasis, record: bool):
+    """One backward step over the current segment, the last ``basis.n_axes``
+    axes of ``values``: each axis shrinks by its reach at both ends."""
+    lead = (slice(None),) * (values.ndim - basis.n_axes)
+    sizes = values.shape[values.ndim - basis.n_axes:]
+
+    def shifted(step):  # out[c] = values[c + step] on the shrunken window
+        return values[lead + tuple(
+            slice(w + d, n - w + d) for w, d, n in zip(basis.reach, step, sizes)
+        )]
+
     averages = (
-        0.5 * (_shift(values, ax, 1) + _shift(values, ax, -1))
-        for ax in range(values.ndim - n_sigma, values.ndim)
+        0.5 * (shifted(s) + shifted(tuple(-d for d in s))) for s in basis.steps
     )
     return backward_step(averages, record=record)
-
-
-def _segment_abs_grid(L: int, n_sigma: int) -> np.ndarray:
-    tot = np.abs(np.arange(-L, L + 1))
-    for _ in range(n_sigma - 1):
-        tot = np.add.outer(tot, np.abs(np.arange(-L, L + 1)))
-    return tot
-
-
-def _segment_delta(L: int, sigma_values, sqdt: float) -> np.ndarray:
-    """Position increment over one segment as a function of its count block."""
-    n_sigma = len(sigma_values)
-    g = np.zeros((2 * L + 1,) * n_sigma)
-    for j, sv in enumerate(sigma_values):
-        shape = [1] * n_sigma
-        shape[j] = 2 * L + 1
-        g = g + (np.arange(-L, L + 1) * (sv * sqdt)).reshape(shape)
-    return g
 
 
 @dataclass(frozen=True)
@@ -223,13 +292,16 @@ class ConditionalTable:
 
     ``seg_lengths`` are the full lengths of the segments started so far; the
     last one may be only partially elapsed (elapsed = level - earlier total).
-    The array has one block of count axes per segment.
+    The array has one block of ``basis`` axes per segment, each at the radius
+    the segment has reached: its full length, or the elapsed steps for the
+    last one.
     """
 
     lattice: Lattice
     level: int
     seg_lengths: tuple
     values: np.ndarray
+    basis: NodeBasis
 
     @property
     def elapsed_last(self) -> int:
@@ -244,31 +316,39 @@ class ConditionalTable:
         return radii
 
     def valid_mask(self) -> np.ndarray:
-        """Reachability mask: per-segment count diamond with parity."""
+        """Reachability mask: the nodes each segment reaches exactly."""
         mask = np.ones((), dtype=bool)
-        n_sigma = self.lattice.n_sigma
-        for L, r in zip(self.seg_lengths, self._radii()):
-            tot = _segment_abs_grid(L, n_sigma)
-            seg = (tot <= r) & ((tot - r) % 2 == 0)
-            mask = np.multiply.outer(mask, seg)
-        return np.broadcast_to(mask, self.values.shape).copy()
+        for r in self._radii():
+            mask = np.multiply.outer(mask, self.basis.reachable(r))
+        return mask
 
     def positions(self) -> np.ndarray:
         """Path value B at the table's level for every node."""
-        sv = self.lattice.sigma_values
         sqdt = math.sqrt(self.lattice.dt)
         pos = np.zeros((), dtype=float)
-        for L in self.seg_lengths:
-            pos = np.add.outer(pos, _segment_delta(L, sv, sqdt))
-        return np.broadcast_to(pos, self.values.shape).copy()
+        for r in self._radii():
+            pos = np.add.outer(pos, self.basis.displacements(r, sqdt))
+        return pos
 
     def value_at_origin(self) -> float:
-        idx = tuple(
-            L
-            for L in self.seg_lengths
-            for _ in range(self.lattice.n_sigma)
-        )
-        return float(self.values[idx])
+        return float(self.values[tuple(n // 2 for n in self.values.shape)])
+
+    def at(self, seg_counts) -> np.ndarray:
+        """Values at nodes given by their net counts per volatility.
+
+        ``seg_counts`` holds one (n_nodes, n_sigma) integer array per segment
+        (segments beyond the table's are ignored); a node's coordinate on
+        axis a is the sum over choices j of counts_j * steps[j][a].
+        """
+        idx = []
+        for counts, r in zip(seg_counts, self._radii()):
+            for a, w in enumerate(self.basis.reach):
+                c = r * w
+                for j, s in enumerate(self.basis.steps):
+                    if s[a]:
+                        c = c + counts[:, j] * s[a]
+                idx.append(c)
+        return np.broadcast_to(self.values[tuple(idx)], (len(seg_counts[0]),))
 
     def condition_to(self, level: int) -> "ConditionalTable":
         if level == self.level:
@@ -292,7 +372,7 @@ def _backward(
     if not (0 <= target <= table.level):
         raise ValueError(f"target level {target} outside [0, {table.level}]")
     lat = table.lattice
-    n_sigma = lat.n_sigma
+    basis = table.basis
     capture = set(capture or ())
     frames: dict = {}
     caps: dict = {}
@@ -302,46 +382,50 @@ def _backward(
     if lvl in capture:
         caps[lvl] = table
     while lvl > target:
-        vals, pol = _dp_step(vals, n_sigma, record)
+        vals, pol = _dp_step(vals, basis, record)
         lvl -= 1
         if segs and lvl == sum(segs[:-1]):
-            center = (slice(None),) * (vals.ndim - n_sigma) + (segs[-1],) * n_sigma
-            vals = np.array(vals[center])  # np.array keeps 0-d results 0-d
+            # the last segment is back at its start node: drop its axes
+            vals = vals.reshape(vals.shape[:-basis.n_axes])
             if record:
-                pol = np.array(pol[center])
+                pol = pol.reshape(pol.shape[:-basis.n_axes])
             segs.pop()
         if record:
             frames[lvl] = (tuple(segs), pol)
         if lvl in capture:
             caps[lvl] = ConditionalTable(
-                lattice=lat, level=lvl, seg_lengths=tuple(segs), values=vals.copy()
+                lattice=lat, level=lvl, seg_lengths=tuple(segs),
+                values=vals.copy(), basis=basis,
             )
     out = ConditionalTable(
-        lattice=lat, level=lvl, seg_lengths=tuple(segs), values=vals
+        lattice=lat, level=lvl, seg_lengths=tuple(segs), values=vals, basis=basis
     )
     return out, frames, caps
 
 
-def _terminal_table(lat: Lattice, X: CylinderFunctional) -> ConditionalTable:
+def _table_cells(basis: NodeBasis, seg_lengths, level: int) -> int:
+    """Cells of the table at ``level`` of a functional with these segments."""
+    cells, start = 1, 0
+    for L in seg_lengths:
+        if level <= start:
+            break
+        cells *= math.prod(basis.axis_sizes(min(L, level - start)))
+        start += L
+    return cells
+
+
+def _terminal_table(
+    lat: Lattice, X: CylinderFunctional, basis: NodeBasis
+) -> ConditionalTable:
     segs = X.segment_lengths
-    if X.levels[-1] > lat.n_steps:
-        raise ValueError("functional horizon exceeds the lattice")
-    n_sigma = lat.n_sigma
-    shape = tuple(2 * L + 1 for L in segs for _ in range(n_sigma))
-    cells = int(np.prod(shape, dtype=np.int64))
-    if cells > _MAX_TABLE_CELLS:
-        raise ValueError(
-            f"state space too large ({cells} nodes); reduce n_steps or anchors"
-        )
-    sv = lat.sigma_values
     sqdt = math.sqrt(lat.dt)
+    n_axes = basis.n_axes
+    shape = tuple(n for L in segs for n in basis.axis_sizes(L))
     args = []
     for i, L in enumerate(segs):
-        d = _segment_delta(L, sv, sqdt)
         bshape = [1] * len(shape)
-        for j in range(n_sigma):
-            bshape[i * n_sigma + j] = 2 * L + 1
-        args.append(d.reshape(bshape))
+        bshape[i * n_axes:(i + 1) * n_axes] = basis.axis_sizes(L)
+        args.append(basis.displacements(L, sqdt).reshape(bshape))
     if X.mode == "levels":
         acc = []
         run = 0.0
@@ -354,18 +438,45 @@ def _terminal_table(lat: Lattice, X: CylinderFunctional) -> ConditionalTable:
         np.broadcast_to(np.asarray(vals, dtype=float), shape)
     )
     return ConditionalTable(
-        lattice=lat, level=X.levels[-1], seg_lengths=segs, values=vals
+        lattice=lat, level=X.levels[-1], seg_lengths=segs, values=vals, basis=basis
     )
+
+
+def _sweep(
+    lat: Lattice,
+    X: CylinderFunctional,
+    basis: NodeBasis,
+    target: int,
+    record: bool = False,
+    capture=(),
+):
+    """Build X's terminal table in ``basis`` and run ``_backward`` to
+    ``target``, after checking that the working set fits the memory guard."""
+    top = X.levels[-1]
+    if top > lat.n_steps:
+        raise ValueError("functional horizon exceeds the lattice")
+    beyond = [l for l in (target, *capture) if l > top]
+    if beyond:
+        raise ValueError(f"level {max(beyond)} is beyond the functional horizon {top}")
+    segs = X.segment_lengths
+    need = _STEP_BYTES_PER_CELL * _table_cells(basis, segs, top)
+    need += 8 * sum(_table_cells(basis, segs, l) for l in set(capture))
+    if record:  # one int8 policy frame per level
+        need += sum(_table_cells(basis, segs, l) for l in range(target, top))
+    if need > _MAX_WORKSET_BYTES:
+        raise ValueError(
+            f"state space too large (about {need} bytes of working set); "
+            "reduce n_steps or anchors"
+        )
+    return _backward(_terminal_table(lat, X, basis), target, record, capture)
 
 
 def conditional_expect(
     lat: Lattice, X: CylinderFunctional, j: int
 ) -> ConditionalTable:
     """Node table of the conditional upper expectation at level ``j``."""
-    terminal = _terminal_table(lat, X)
-    if j > terminal.level:
-        raise ValueError(f"level {j} is beyond the functional horizon")
-    return terminal.condition_to(j)
+    table, _, _ = _sweep(lat, X, lat.basis, j)
+    return table
 
 
 def conditional_tables(
@@ -373,10 +484,7 @@ def conditional_tables(
 ) -> dict:
     """One backward sweep capturing the conditional table at each level."""
     levels = sorted(set(int(l) for l in levels))
-    terminal = _terminal_table(lat, X)
-    if levels and levels[-1] > terminal.level:
-        raise ValueError("requested level beyond the functional horizon")
-    _, _, caps = _backward(terminal, min(levels) if levels else 0, capture=levels)
+    _, _, caps = _sweep(lat, X, lat.basis, min(levels, default=0), capture=levels)
     return caps
 
 
@@ -387,43 +495,49 @@ def lattice_expect(lat: Lattice, X: CylinderFunctional) -> float:
 
 @dataclass
 class LatticePolicy(VolatilityPolicy):
-    """Worst-case (argmax) volatility choice recorded per level and node."""
+    """Worst-case (argmax) volatility choice recorded per level and node.
+
+    ``frames`` map level -> (seg_lengths, choice-index array) laid out like a
+    ConditionalTable in ``basis``; look a choice up with ``sigma_index``.
+    """
 
     lattice: Lattice
     anchors: tuple
     frames: dict
+    basis: NodeBasis
     name: str = "worst"
 
-    def sigma_index(self, level: int, seg_coords) -> np.ndarray:
+    def frame_table(self, level: int) -> ConditionalTable:
+        """The recorded choices at ``level`` as a table of choice indices."""
+        segs, pol = self.frames[level]
+        return ConditionalTable(
+            lattice=self.lattice, level=level, seg_lengths=segs,
+            values=np.asarray(pol), basis=self.basis,
+        )
+
+    def sigma_index(self, level: int, seg_counts) -> np.ndarray:
+        """Choice index at each node given by its per-segment net counts."""
         if level not in self.frames:
             # beyond the functional horizon the value is choice-independent
-            return np.zeros(len(seg_coords[0]) if seg_coords else 1, dtype=np.int8)
-        segs, pol = self.frames[level]
-        if not segs:
-            n = len(seg_coords[0]) if seg_coords else 1
-            return np.full(n, int(pol), dtype=np.int8)
-        idx = []
-        for i, L in enumerate(segs):
-            for j in range(self.lattice.n_sigma):
-                idx.append(seg_coords[i][:, j] + L)
-        return pol[tuple(idx)]
-
-    def sigma_sq(self, level, positions, coords=None):
-        if coords is None:
-            raise ValueError("lattice policy lookup needs node coordinates")
-        grid = np.asarray(self.lattice.sigma_grid)
-        return grid[self.sigma_index(level, coords)]
+            return np.zeros(len(seg_counts[0]), dtype=np.int8)
+        return self.frame_table(level).at(seg_counts)
 
 
 def extract_worst_policy(lat: Lattice, X: CylinderFunctional) -> LatticePolicy:
     """Argmax selector of the backward induction; sampling under it converges
-    to lattice_expect(X)."""
-    terminal = _terminal_table(lat, X)
-    _, frames, _ = _backward(terminal, 0, record=True)
+    to lattice_expect(X).
+
+    The sweep runs in the count basis, whatever the lattice's basis: where
+    choices tie exactly, the lowest volatility is recorded, and position
+    roundoff in another basis could break such ties.
+    """
+    basis = lat.count_basis
+    _, frames, _ = _sweep(lat, X, basis, 0, record=True)
     return LatticePolicy(
         lattice=lat,
         anchors=X.levels,
         frames=frames,
+        basis=basis,
         name=f"worst:{to_str(X.phi)}",
     )
 
@@ -532,8 +646,8 @@ def sample_paths(
 def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     """Evaluate per-level conditional tables along sampled paths.
 
-    Supports single-anchor functionals (one count block); requires the
-    ensemble to carry integer coordinates.
+    Supports single-anchor functionals (one segment); requires the ensemble
+    to carry integer coordinates.
     """
     if ens.coords is None:
         raise ValueError("ensemble was sampled without coordinate tracking")
@@ -541,14 +655,9 @@ def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     out = np.empty((ens.n_paths, n + 1))
     for k in range(n + 1):
         table = tables[k]
-        if not table.seg_lengths:
-            out[:, k] = float(table.values)
-            continue
-        if len(table.seg_lengths) != 1:
+        if len(table.seg_lengths) > 1:
             raise ValueError("path evaluation supports single-segment tables only")
-        L = table.seg_lengths[0]
-        idx = tuple(ens.coords[:, k, j] + L for j in range(ens.lattice.n_sigma))
-        out[:, k] = table.values[idx]
+        out[:, k] = table.at([ens.coords[:, k]])
     return out
 
 
@@ -573,22 +682,12 @@ def ensemble_to_csv(ens: PathEnsemble, path: str) -> None:
 
 def policy_to_csv(policy: LatticePolicy, path: str) -> None:
     """Columns: level, node_position, sigma_sq — reachable nodes only."""
-    lat = policy.lattice
-    grid = np.asarray(lat.sigma_grid)
+    grid = np.asarray(policy.lattice.sigma_grid)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["level", "node_position", "sigma_sq"])
         for level in sorted(policy.frames):
-            segs, pol = policy.frames[level]
-            table = ConditionalTable(
-                lattice=lat,
-                level=level,
-                seg_lengths=segs,
-                values=np.asarray(pol, dtype=float),
-            )
+            table = policy.frame_table(level)
             mask = table.valid_mask()
-            pos = table.positions()
-            sel = np.asarray(pol)[mask] if segs else np.array([int(pol)])
-            positions = pos[mask] if segs else np.array([0.0])
-            for x, j in zip(positions, np.atleast_1d(sel)):
+            for x, j in zip(table.positions()[mask], table.values[mask]):
                 w.writerow([level, repr(float(x)), repr(float(grid[int(j)]))])

@@ -30,7 +30,7 @@ from .dp import (
     run_walk,
     weighted_coord_walk,
 )
-from .gcore import capacity_estimate, default_scenario_family, g_eval
+from .gcore import UsageError, capacity_estimate, default_scenario_family, g_eval
 from .gheat import gnormal_expect
 from .glattice import (
     CylinderFunctional,
@@ -941,7 +941,7 @@ def run_suite(cfg: RunConfig, only=None):
     else:
         unknown = [c for c in only if c not in CHECKS]
         if unknown:
-            raise KeyError(f"unknown check id(s): {', '.join(unknown)}")
+            raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
         ids = [c for c in CHECKS if c in set(only)]
     reports = []
     for cid in ids:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gexpect import cli
 from gexpect.cli import main
 
 
@@ -76,6 +77,19 @@ def test_conditional_writes_table(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_conditional_lists_each_reachable_position_once(tmp_path, capsys):
+    out = tmp_path / "cond.csv"
+    rc = main(["conditional", "--phi", "abs(x1)", "--j", "10",
+               "--n-steps", "20", "--csv", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        nodes = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+    # ten steps of +-0.5 or +-1 (times sqrt(dt)) reach every multiple of 0.5
+    # in [-10, 10]; the 121 reachable count vectors repeat some of them
+    assert len(nodes) == len(set(nodes)) == 41
+    assert "wrote 41 nodes" in capsys.readouterr().out
+
+
 def test_simulate_named_and_worst_policies(tmp_path, capsys):
     out = tmp_path / "paths.csv"
     rc = main(["simulate", "--policy", "const-max", "--n-steps", "10",
@@ -112,6 +126,22 @@ def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
     rc = main(["verify", "--only", "bogus", "--report",
                str(tmp_path / "r.json")])
     assert rc == 2
+
+
+def test_unknown_policy_is_usage_error(capsys):
+    rc = main(["simulate", "--policy", "nope", "--n-steps", "4",
+               "--n-paths", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown policy name: 'nope'\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(lat, X):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli, "lattice_expect", broken)
+    with pytest.raises(KeyError, match="internal lookup"):
+        main(["expect", "--phi", "x1", "--backend", "lattice", "--n-steps", "4"])
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gexpect import glattice
 from gexpect.gcore import ConstantPolicy, GParams
 from gexpect.glattice import (
     CylinderFunctional,
@@ -19,7 +22,8 @@ from gexpect.glattice import (
     policy_to_csv,
     sample_paths,
 )
-from gexpect.payoff import eval_expr, parse
+from gexpect.payoff import PayoffEvalError, eval_expr, parse
+from test_payoff import _exprs
 
 PARAMS = GParams(sigma_lower_sq=0.25, sigma_upper_sq=1.0)
 
@@ -87,6 +91,107 @@ def test_functional_validation():
     with pytest.raises(ValueError):
         CylinderFunctional((4,), parse("x1"), mode="paths")
     assert CylinderFunctional((2, 5), parse("x1 + x2")).segment_lengths == (2, 3)
+
+
+# --- node bases -----------------------------------------------------------------
+
+
+def test_default_band_gets_position_basis_with_steps_1_2():
+    basis = build_lattice(1.0, 4, PARAMS).basis
+    assert basis.steps == ((1,), (2,))
+    assert basis.unit == (0.5,)
+
+
+def test_refined_grid_falls_back_to_counts():
+    lat = build_lattice(1.0, 4, PARAMS, sigma_refinement=1)
+    assert lat.basis == lat.count_basis
+    assert lat.basis.steps == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_single_volatility_gets_one_axis():
+    basis = build_lattice(1.0, 4, GParams(0.5, 0.5)).basis
+    assert basis.steps == ((1,),)
+    assert basis.unit == pytest.approx((math.sqrt(0.5),), abs=1e-15)
+
+
+def test_inexact_commensurate_band_is_detected():
+    # sqrt(0.3) / sqrt(1.2) is 1/2 only up to roundoff
+    basis = build_lattice(1.0, 4, GParams(0.3, 1.2)).basis
+    assert basis.steps == ((1,), (2,))
+    assert basis.unit[0] == pytest.approx(math.sqrt(0.3), abs=1e-15)
+
+
+def test_position_basis_marks_unreachable_positions():
+    # one step of +-1 or +-2 never returns to 0
+    reach = build_lattice(1.0, 4, PARAMS).basis.reachable(1)
+    np.testing.assert_array_equal(reach, [True, True, False, True, True])
+
+
+def _tables(lat, X, basis):
+    top = X.levels[-1]
+    _, _, caps = glattice._sweep(lat, X, basis, 0, capture=range(top + 1))
+    return caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 7),
+    st.sampled_from(["increments", "levels"]),
+    st.data(),
+)
+def test_position_and_count_bases_agree(n, split, mode, data):
+    """Oracle: on a commensurate grid the two bases give the same values at
+    every reachable node of every level's conditional table."""
+    levels = (n,) if split == 0 or split >= n else (split, n)
+    phi = data.draw(_exprs(max_vars=len(levels)))
+    lat = build_lattice(1.0, n, PARAMS)
+    assert lat.basis.n_axes == 1
+    X = CylinderFunctional(levels, phi, mode=mode)
+    try:
+        with np.errstate(all="ignore"):
+            counts = _tables(lat, X, lat.count_basis)
+            positions = _tables(lat, X, lat.basis)
+    except PayoffEvalError:
+        assume(False)
+    terminal = counts[n].values[counts[n].valid_mask()]
+    assume(np.all(np.isfinite(terminal)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(terminal))))
+    assert abs(positions[0].value_at_origin() - counts[0].value_at_origin()) <= tol
+    for k in range(1, n + 1):
+        # look every reachable count vector up in the position table
+        mask = counts[k].valid_mask()
+        nodes = np.nonzero(mask)
+        seg_counts = [
+            np.stack(nodes[i * lat.n_sigma:(i + 1) * lat.n_sigma], axis=1) - r
+            for i, r in enumerate(counts[k]._radii())
+        ]
+        got = positions[k].at(seg_counts)
+        np.testing.assert_allclose(got, counts[k].values[mask], rtol=0, atol=tol)
+        assert positions[k].valid_mask().sum() <= mask.sum()
+
+
+# --- memory guard -----------------------------------------------------------------
+
+
+def test_guard_bounds_the_working_set_of_the_active_basis(monkeypatch):
+    monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 1 << 20)
+    X = CylinderFunctional((400,), parse("abs(x1)"))
+    # 1,601 positions fit; the 801^2 count box would not
+    lat = build_lattice(1.0, 400, PARAMS)
+    assert lattice_expect(lat, X) == pytest.approx(0.797386039275, abs=1e-11)
+
+
+def test_guard_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 1 << 20)
+
+    def never(*args):
+        raise AssertionError("the terminal table was built")
+
+    monkeypatch.setattr(glattice, "eval_expr", never)
+    lat = build_lattice(1.0, 50, PARAMS, sigma_refinement=1)
+    with pytest.raises(ValueError, match="too large"):
+        lattice_expect(lat, CylinderFunctional((50,), parse("abs(x1)")))
 
 
 # --- exact values ------------------------------------------------------------------
