@@ -67,7 +67,13 @@ def _parse_levels(cfg: RunConfig, times: str | None, n_anchors: int):
             round(cfg.n_steps * (i + 1) / n_anchors) for i in range(n_anchors)
         )
     parts = [p for p in times.split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
+    try:
+        levels = tuple(int(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"--times takes integer levels, got {times!r}") from None
+    if any(l < 1 or l > cfg.n_steps for l in levels):
+        raise UsageError(f"--times levels must lie in [1, {cfg.n_steps}], got {times!r}")
+    return levels
 
 
 def cmd_expect(args) -> int:
@@ -113,6 +119,10 @@ def cmd_conditional(args) -> int:
     lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
     levels = _parse_levels(cfg, args.times, m)
     X = CylinderFunctional(levels, phi, mode=args.mode)
+    if not 0 <= args.j <= X.levels[-1]:
+        raise UsageError(
+            f"--j {args.j} lies outside [0, {X.levels[-1]}], the functional horizon"
+        )
     table = conditional_expect(lat, X, args.j)
     mask = table.valid_mask()
     pos = table.positions()

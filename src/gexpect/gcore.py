@@ -82,7 +82,8 @@ def capacity_estimate(prob_per_scenario: Sequence[float]) -> float:
 
 
 class UsageError(KeyError):
-    """A name given by the caller (a policy, a check id) is unknown.
+    """The caller gave an unknown name (a policy, a check id) or a value the
+    command line cannot take (a non-integer level, a level past the horizon).
 
     The command line reports it as a usage error (exit code 2); any other
     ``KeyError`` is a bug and is not reported as the caller's mistake.

@@ -585,8 +585,8 @@ def sample_paths(
     """Draw +-sigma*sqrt(dt) steps with probability 1/2 each, reproducibly.
 
     ``track_coords`` records the exact integer node coordinates (net counts
-    per volatility); it requires every chosen variance rate to lie on the
-    lattice's volatility grid.
+    per volatility) in ``coords``, which is None otherwise; it requires every
+    chosen variance rate to lie on the lattice's volatility grid.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
@@ -600,9 +600,8 @@ def sample_paths(
     lo, hi = lat.params.sigma_lower_sq, lat.params.sigma_upper_sq
 
     is_lat = isinstance(policy, LatticePolicy)
-    want_coords = track_coords or is_lat
     coords = None
-    if want_coords:
+    if track_coords:
         coords = np.zeros((n_paths, n + 1, lat.n_sigma), dtype=np.int64)
     seg_coords = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)] if is_lat else None
     rows = np.arange(n_paths)
@@ -616,7 +615,7 @@ def sample_paths(
             s2 = np.broadcast_to(s2, (n_paths,))
             if np.any(s2 < lo - 1e-12) or np.any(s2 > hi + 1e-12):
                 raise ValueError(f"policy value outside the band at step {k}")
-            if want_coords:
+            if track_coords:
                 sidx = np.argmin(np.abs(grid[:, None] - s2), axis=0)
                 if np.any(np.abs(grid[sidx] - s2) > 1e-12):
                     raise ValueError(
@@ -624,7 +623,7 @@ def sample_paths(
                     )
         sig[:, k] = s2
         B[:, k + 1] = B[:, k] + signs[:, k] * np.sqrt(s2 * dt)
-        if want_coords:
+        if track_coords:
             coords[:, k + 1] = coords[:, k]
             coords[rows, k + 1, sidx] += signs[:, k]
         if is_lat:
@@ -639,7 +638,7 @@ def sample_paths(
         seed=seed,
         B=B,
         sigma_sq=sig,
-        coords=coords if track_coords or is_lat else None,
+        coords=coords,
     )
 
 

@@ -135,6 +135,28 @@ def test_unknown_policy_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: unknown policy name: 'nope'\n"
 
 
+def test_non_integer_level_is_usage_error(capsys):
+    rc = main(["expect", "--phi", "x1", "--times", "a", "--backend", "lattice",
+               "--n-steps", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --times takes integer levels, got 'a'\n"
+
+
+def test_level_past_lattice_is_usage_error(capsys):
+    rc = main(["expect", "--phi", "x1", "--times", "9", "--backend", "lattice",
+               "--n-steps", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --times levels must lie in [1, 4], got '9'\n"
+
+
+def test_conditioning_level_past_horizon_is_usage_error(tmp_path, capsys):
+    rc = main(["conditional", "--phi", "x1^2", "--j", "9", "--n-steps", "4",
+               "--csv", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "functional horizon" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     def broken(lat, X):
         raise KeyError("internal lookup")

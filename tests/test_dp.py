@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gexpect import dp
 from gexpect.dp import (
     WalkSpec,
     adapted_abs_walk,
@@ -144,9 +146,67 @@ def test_stop_levels_capture_conditionals():
     np.testing.assert_allclose(values3, pos**2 + 0.5, atol=1e-13)
 
 
-def test_state_budget_guard():
-    lat = build_lattice(1.0, 10, PARAMS)
+def test_state_budget_guard(monkeypatch):
+    n = 10
+    lat = build_lattice(1.0, n, PARAMS)
     spec = qv_coord_walk(lat)
-    spec.terminal = lambda s, d=spec.decode: d(s, 10)[0]
-    with pytest.raises(RuntimeError, match="state space too large"):
-        run_walk(spec, max_states=5)
+    spec.terminal = lambda s, d=spec.decode: d(s, n)[0]
+    stops = run_walk(spec, stop_levels=range(n + 1)).stops
+    sizes = [stops[k][0].shape[0] for k in range(n + 1)]
+    # 8 bytes per state coordinate, 4 per entry of the 2r maps of each level
+    held = 8 * 3 * sum(sizes) + 4 * 4 * sum(sizes[:-1])
+    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", held)
+    assert run_walk(spec).value == pytest.approx(0.0, abs=1e-13)
+    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", held - 1)
+    with pytest.raises(RuntimeError, match=f"state space too large at level {n}"):
+        run_walk(spec)
+
+
+def _oracle_walks():
+    """Every builder at small n on the default and a refined grid."""
+    for refinement in (0, 1):
+        n = 8
+        lat = build_lattice(1.0, n, PARAMS, refinement)
+        spec = coord_walk(lat)
+        yield replace(spec, terminal=lambda s, d=spec.decode: np.abs(d(s)))
+        spec = coord_walk(lat, active=np.arange(n) % 3 != 1)
+        yield replace(spec, terminal=lambda s, d=spec.decode: d(s) ** 2)
+        spec = qv_coord_walk(lat)
+        yield replace(spec, terminal=lambda s, d=spec.decode, n=n:
+                      d(s, n)[0] ** 2 - 2.0 * d(s, n)[1])
+        spec = weighted_coord_walk(lat, np.where(np.arange(n) < n // 2, 1.0, -2.0))
+        yield replace(spec, terminal=lambda s, d=spec.decode: np.abs(d(s)))
+        spec = adapted_abs_walk(lat)
+        yield replace(spec, terminal=lambda s, d=spec.decode: d(s)[1] ** 2)
+        spec = coord_walk(lat)
+        yield replace(spec, terminal=lambda s, d=spec.decode: d(s) ** 2,
+                      reward=lambda k, s, s2, dt=lat.dt: np.full(s.shape[0], -s2 * dt))
+
+
+def test_occupancy_dedup_matches_np_unique(monkeypatch):
+    unique = np.unique
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    factor = dp._OCCUPANCY_FACTOR
+    levels = 0
+    for spec in _oracle_walks():
+        n = spec.lattice.n_steps
+        levels += n
+        monkeypatch.setattr(dp, "_OCCUPANCY_FACTOR", factor)
+        fast = run_walk(spec, stop_levels=range(n + 1))
+        monkeypatch.setattr(dp, "_OCCUPANCY_FACTOR", 0)  # np.unique everywhere
+        slow = run_walk(spec, stop_levels=range(n + 1))
+        assert fast.value == slow.value
+        for k in range(n + 1):
+            (fs, fv), (ss, sv) = fast.stops[k], slow.stops[k]
+            assert fs.dtype == ss.dtype == np.int64
+            np.testing.assert_array_equal(fs, ss)
+            np.testing.assert_array_equal(fv, sv)
+    # both branches ran: the forced runs call np.unique once per level, the
+    # default runs on some levels only
+    assert levels < len(calls) < 2 * levels

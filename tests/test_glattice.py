@@ -364,6 +364,20 @@ def test_track_coords_requires_grid_alignment():
         sample_paths(lat, ConstantPolicy(0.625), 10, seed=0, track_coords=True)
 
 
+def test_lattice_policy_ensemble_keeps_coords_only_on_request():
+    n = 12
+    lat = build_lattice(1.0, n, PARAMS)
+    pol = extract_worst_policy(lat, CylinderFunctional((4, n), parse("abs(x1) * x2")))
+    plain = sample_paths(lat, pol, 300, seed=5)
+    tracked = sample_paths(lat, pol, 300, seed=5, track_coords=True)
+    assert plain.coords is None
+    np.testing.assert_array_equal(plain.B, tracked.B)
+    np.testing.assert_array_equal(plain.sigma_sq, tracked.sigma_sq)
+    assert len(np.unique(plain.sigma_sq)) == 2  # the policy switches
+    sv = np.asarray(lat.sigma_values) * math.sqrt(lat.dt)
+    np.testing.assert_allclose(tracked.coords @ sv, tracked.B, atol=1e-12)
+
+
 def test_eval_tables_on_paths_reconstructs_terminal_payoff():
     n = 8
     lat = build_lattice(1.0, n, PARAMS)
