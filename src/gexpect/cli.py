@@ -25,7 +25,7 @@ from .glattice import (
     lattice_expect,
     sample_paths,
 )
-from .payoff import PayoffSyntaxError, parse
+from .payoff import PayoffSyntaxError, arity, parse
 from .verifier import CHECKS, reports_to_json, reports_to_table, run_suite
 
 
@@ -61,7 +61,9 @@ def _fmt(cfg: RunConfig, x: float) -> str:
     return f"{x:.{cfg.digits}g}"
 
 
-def _parse_levels(cfg: RunConfig, times: str | None, n_anchors: int):
+def _parse_levels(cfg: RunConfig, times: str | None, phi):
+    """Anchor levels for ``phi``: --times, or one per variable evenly spaced."""
+    n_anchors = max(arity(phi), 1)
     if times is None:
         return tuple(
             round(cfg.n_steps * (i + 1) / n_anchors) for i in range(n_anchors)
@@ -73,23 +75,25 @@ def _parse_levels(cfg: RunConfig, times: str | None, n_anchors: int):
         raise UsageError(f"--times takes integer levels, got {times!r}") from None
     if any(l < 1 or l > cfg.n_steps for l in levels):
         raise UsageError(f"--times levels must lie in [1, {cfg.n_steps}], got {times!r}")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise UsageError(f"--times levels must strictly increase, got {times!r}")
+    if len(levels) < n_anchors:
+        raise UsageError(f"the payoff uses x{n_anchors} but --times gives "
+                         f"{len(levels)} level(s): {times!r}")
     return levels
 
 
 def cmd_expect(args) -> int:
     cfg = _build_config(args)
     phi = parse(args.phi)
-    from .payoff import arity
-
-    m = max(arity(phi), 1)
     values = {}
     if args.backend in ("lattice", "both"):
         lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
-        levels = _parse_levels(cfg, args.times, m)
+        levels = _parse_levels(cfg, args.times, phi)
         X = CylinderFunctional(levels, phi, mode=args.mode)
         values["lattice"] = lattice_expect(lat, X)
     if args.backend in ("pde", "both"):
-        if m > 1:
+        if arity(phi) > 1:
             raise ValueError("the PDE backend handles single-variable payoffs")
         values["pde"] = gnormal_expect(
             phi, args.t, cfg.params, nx=cfg.nx, cfl_safety=cfg.cfl_safety
@@ -113,11 +117,8 @@ def cmd_expect(args) -> int:
 def cmd_conditional(args) -> int:
     cfg = _build_config(args)
     phi = parse(args.phi)
-    from .payoff import arity
-
-    m = max(arity(phi), 1)
     lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
-    levels = _parse_levels(cfg, args.times, m)
+    levels = _parse_levels(cfg, args.times, phi)
     X = CylinderFunctional(levels, phi, mode=args.mode)
     if not 0 <= args.j <= X.levels[-1]:
         raise UsageError(

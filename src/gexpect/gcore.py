@@ -103,7 +103,7 @@ class VolatilityPolicy:
 
     name = "policy"
 
-    def sigma_sq(self, level: int, positions: np.ndarray, coords=None) -> np.ndarray:
+    def sigma_sq(self, level: int, positions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -112,7 +112,7 @@ class ConstantPolicy(VolatilityPolicy):
     value: float
     name: str = "const"
 
-    def sigma_sq(self, level, positions, coords=None):
+    def sigma_sq(self, level, positions):
         return np.full(np.shape(positions), self.value)
 
 
@@ -156,7 +156,7 @@ def default_scenario_family(params: GParams) -> ScenarioFamily:
     """Extreme constants, the midpoint constant, and a step-alternating policy."""
     lo, hi = params.sigma_lower_sq, params.sigma_upper_sq
 
-    def alternate(level, positions, coords=None, lo=lo, hi=hi):
+    def alternate(level, positions, lo=lo, hi=hi):
         v = hi if int(level) % 2 == 0 else lo
         return np.full(np.shape(positions), v)
 
@@ -174,5 +174,5 @@ class _FnPolicy(VolatilityPolicy):
     fn: Callable
     name: str = "fn"
 
-    def sigma_sq(self, level, positions, coords=None):
-        return self.fn(level, positions, coords)
+    def sigma_sq(self, level, positions):
+        return self.fn(level, positions)

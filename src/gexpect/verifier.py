@@ -7,9 +7,15 @@ and emits a structured report.  Negative controls — processes that must fail
 a check — are first-class and marked expected_fail, so the suite encodes the
 sharpness of the statements, not just their truth.
 
-The walk-based martingale checks share two helpers: ``_walk_gap``, the largest
-nodewise |E[F_n + rewards | H_l] - F_l| over stop levels l, and ``_asymmetry``,
-the largest |E[F_n | H_s] + E[-F_n | H_s]|, zero for a symmetric martingale.
+Checks are short declarations on shared helpers: ``_lattice`` (the one place
+a check's lattice follows the config), ``_node_gap`` (largest |table - targets|
+over a conditional table's reachable nodes), ``_walk_gap`` (largest nodewise
+|E[F_n + rewards | H_l] - F_l| over the stop levels l of an augmented walk),
+``_asymmetry`` (largest |E[F_n | H_s] + E[-F_n | H_s]|, zero for a symmetric
+martingale), and ``_ensembles`` with ``_scenario_max`` for scenario-max Monte
+Carlo.  A check samples each (policy, seed) ensemble once and evaluates all
+its integrands on it; every sample seeds its own generator, so no value
+depends on the order of the integrands.
 """
 
 from __future__ import annotations
@@ -106,8 +112,37 @@ def _report(check_id, kind, lhs, rhs, tol, backend, seed=None, n_paths=None,
     )
 
 
+def _lattice(cfg: RunConfig, n: int):
+    """The n-step lattice on ``cfg``'s horizon, band and volatility grid."""
+    return build_lattice(cfg.horizon, n, cfg.params, cfg.sigma_refinement)
+
+
 def _grid_aligned_scenarios(family):
     return [family.by_name(n) for n in ("const-max", "const-min", "alternating")]
+
+
+def _ensembles(lat, policies, n_paths, *seeds, **kw):
+    """One ensemble per (seed, policy), drawn lazily: the i-th policy is
+    sampled with seed + i."""
+    for seed in seeds:
+        for i, pol in enumerate(policies):
+            yield sample_paths(lat, pol, n_paths, seed + i, **kw)
+
+
+def _scenario_max(ensembles, measure):
+    """Scenario max of each entry of ``measure(ens)``: every ensemble is drawn
+    once and all its quantities are read from it."""
+    return [max(col) for col in zip(*map(measure, ensembles))]
+
+
+def _node_gap(table, *targets):
+    """Largest |table.values - targets[0] - targets[1] - ...| over the table's
+    reachable nodes; each target is an array of the table's shape."""
+    mask = table.valid_mask()
+    diff = table.values[mask]
+    for t in targets:
+        diff = diff - t[mask]
+    return float(np.max(np.abs(diff)))
 
 
 def _zero(states, level=None):
@@ -145,7 +180,7 @@ def _asymmetry(spec, F, s):
 def check_moments(cfg: RunConfig):
     params = cfg.params
     T = cfg.horizon
-    lat = build_lattice(T, 200, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, 200)
     up = lattice_expect(lat, CylinderFunctional((200,), parse("x1^2")))
     lo = -lattice_expect(lat, CylinderFunctional((200,), parse("-(x1^2)")))
     pde_up = gnormal_expect(parse("x1^2"), T, params, nx=401)
@@ -166,16 +201,14 @@ _CROSS_PAYOFFS = ("x1", "x1^2", "-(x1^2)", "abs(x1)", "max(x1 - 0.5, 0)", "x1^3"
 
 
 def check_cross_backend(cfg: RunConfig):
-    params = cfg.params
-    T = cfg.horizon
     n = 400
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     tol = cfg.tol.get("cross-backend", 1e-2)
     out = []
     for text in _CROSS_PAYOFFS:
         phi = parse(text)
         v_lat = lattice_expect(lat, CylinderFunctional((n,), phi))
-        v_pde = gnormal_expect(phi, T, params, nx=401)
+        v_pde = gnormal_expect(phi, cfg.horizon, cfg.params, nx=401)
         out.append(
             _report(f"cross-backend:{text}", "equality", v_lat, v_pde, tol,
                     "lattice-DP|pde-fd")
@@ -206,119 +239,109 @@ def check_conditional_algebra(cfg: RunConfig):
     Functionals live on anchors (5, 50) in level mode: x1 is the path value
     at level 5 (the conditioning level), x2 the terminal value.
     """
-    params = cfg.params
-    lat = build_lattice(cfg.horizon, 50, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, 50)
     s = 5
     tol = cfg.tol.get("conditional-algebra", 1e-10)
 
-    def table(text, level=s):
-        X = CylinderFunctional((s, 50), parse(text), mode="levels")
-        return conditional_expect(lat, X, level)
+    def functional(text):
+        return CylinderFunctional((s, 50), parse(text), mode="levels")
+
+    def table(text):
+        return conditional_expect(lat, functional(text), s)
 
     base = {text: table(text) for text in _CORPUS}
-    mask = next(iter(base.values())).valid_mask()
-    pos = next(iter(base.values())).positions()
-
-    reports = []
+    mask = base[_CORPUS[0]].valid_mask()
+    pos = base[_CORPUS[0]].positions()
 
     # (i) monotonicity: X <= X + |x2| pointwise implies the same for conditionals
-    g = -np.inf
-    for text in _CORPUS[:4]:
-        bigger = table(f"({text}) + abs(x2)")
-        g = max(g, float(np.max(base[text].values[mask] - bigger.values[mask])))
-    reports.append(_report("cond-monotone", "inequality", g, 0.0, tol, "lattice-DP"))
+    monotone = max(
+        float(np.max(base[t].values[mask] - table(f"({t}) + abs(x2)").values[mask]))
+        for t in _CORPUS[:4]
+    )
 
     # (ii) conditioning-level measurable functionals are reproduced exactly
-    g = -np.inf
-    for text in ("x1", "abs(x1)", "x1^2 - 1", "max(x1, 0)"):
-        t = table(text)
-        direct = np.asarray(eval_expr(parse(text), [pos]), dtype=float)
-        g = max(g, float(np.max(np.abs(t.values[mask] - direct[mask]))))
-    reports.append(_report("cond-measurable", "equality", g, 0.0, tol, "lattice-DP"))
+    measurable = max(
+        _node_gap(table(t), eval_expr(parse(t), [pos]))
+        for t in ("x1", "abs(x1)", "x1^2 - 1", "max(x1, 0)")
+    )
 
     # (iii) self-domination: E[X|H] - E[Y|H] <= E[X - Y|H]
     pairs = [(_CORPUS[0], _CORPUS[2]), (_CORPUS[1], _CORPUS[3]),
              (_CORPUS[4], _CORPUS[6]), (_CORPUS[7], _CORPUS[9]),
              (_CORPUS[5], _CORPUS[8])]
-    g = -np.inf
-    for a, b in pairs:
-        diff = table(f"({a}) - ({b})")
-        g = max(g, float(np.max(
-            base[a].values[mask] - base[b].values[mask] - diff.values[mask])))
-    reports.append(_report("cond-self-dominated", "inequality", g, 0.0, tol,
-                           "lattice-DP"))
+    dominated = max(
+        float(np.max(base[a].values[mask] - base[b].values[mask]
+                     - table(f"({a}) - ({b})").values[mask]))
+        for a, b in pairs
+    )
 
     # (iv) measurable-factor pull-out with positive/negative parts
-    g = -np.inf
-    for eta_s, x_s in (("x1", "x2^2"), ("x1 - 0.5", "abs(x2)"),
-                       ("x1", "x2^3 - x1")):
+    def pullout_gap(eta_s, x_s):
         t_prod = table(f"({eta_s}) * ({x_s})")
-        t_x = table(x_s)
-        t_negx = table(f"-({x_s})")
-        eta = np.asarray(eval_expr(parse(eta_s), [pos]), dtype=float)
-        rhs = np.maximum(eta, 0) * t_x.values + np.maximum(-eta, 0) * t_negx.values
-        g = max(g, float(np.max(np.abs(t_prod.values[mask] - rhs[mask]))))
-    reports.append(_report("cond-pullout", "equality", g, 0.0, tol, "lattice-DP"))
+        eta = eval_expr(parse(eta_s), [pos])
+        return _node_gap(t_prod, np.maximum(eta, 0) * table(x_s).values
+                         + np.maximum(-eta, 0) * table(f"-({x_s})").values)
+
+    pullout = max(pullout_gap(e, x) for e, x in (
+        ("x1", "x2^2"), ("x1 - 0.5", "abs(x2)"), ("x1", "x2^3 - x1")))
 
     # (v) additivity against a symmetric increment
     y_s = "x2 - x1"
     t_y = table(y_s)
-    g = -np.inf
-    for x_s in (_CORPUS[0], _CORPUS[3], _CORPUS[7]):
-        t_sum = table(f"({x_s}) + ({y_s})")
-        g = max(g, float(np.max(np.abs(
-            t_sum.values[mask] - base[x_s].values[mask] - t_y.values[mask]))))
-    reports.append(_report("cond-additive", "equality", g, 0.0, tol, "lattice-DP"))
+    additive = max(
+        _node_gap(table(f"({x_s}) + ({y_s})"), base[x_s].values, t_y.values)
+        for x_s in (_CORPUS[0], _CORPUS[3], _CORPUS[7])
+    )
 
     # (vi) tower
-    g = -np.inf
+    tower = -np.inf
     for x_s in (_CORPUS[0], _CORPUS[5], _CORPUS[8]):
-        X = CylinderFunctional((s, 50), parse(x_s), mode="levels")
-        caps = conditional_tables(lat, X, (2, s, 30))
-        via30 = caps[30].condition_to(s)
-        g = max(g, float(np.max(np.abs(
-            via30.values[mask] - caps[s].values[mask]))))
-        via5 = caps[s].condition_to(2)
-        m2 = caps[2].valid_mask()
-        g = max(g, float(np.max(np.abs(
-            via5.values[m2] - caps[2].values[m2]))))
-    reports.append(_report("cond-tower", "equality", g, 0.0, tol, "lattice-DP"))
-    return reports
+        caps = conditional_tables(lat, functional(x_s), (2, s, 30))
+        tower = max(tower,
+                    _node_gap(caps[30].condition_to(s), caps[s].values),
+                    _node_gap(caps[s].condition_to(2), caps[2].values))
+
+    return [_report(name, kind, g, 0.0, tol, "lattice-DP") for name, kind, g in (
+        ("cond-monotone", "inequality", monotone),
+        ("cond-measurable", "equality", measurable),
+        ("cond-self-dominated", "inequality", dominated),
+        ("cond-pullout", "equality", pullout),
+        ("cond-additive", "equality", additive),
+        ("cond-tower", "equality", tower),
+    )]
 
 
 # --- path-level identities ----------------------------------------------------
 
 
 def check_qv_identity(cfg: RunConfig):
-    params = cfg.params
-    lat = build_lattice(cfg.horizon, 100, params, cfg.sigma_refinement)
-    family = default_scenario_family(params)
+    lat = _lattice(cfg, 100)
+    family = default_scenario_family(cfg.params)
     tol = cfg.tol.get("qv-identity", 1e-12)
-    worst = 0.0
     n_paths = min(cfg.n_paths, 10000)
-    for i, pol in enumerate(family):
-        ens = sample_paths(lat, pol, n_paths, cfg.seed + i)
-        worst = max(worst, qv_identity_gap(ens.B, ens))
-        M = ito_integral(StepProcess.adapted(lambda x: x, 100, name="B"), ens)
-        worst = max(worst, qv_identity_gap(M, ens))
+    eta = StepProcess.adapted(lambda x: x, 100, name="B")
+    worst = max(
+        max(qv_identity_gap(ens.B, ens), qv_identity_gap(ito_integral(eta, ens), ens))
+        for ens in _ensembles(lat, family, n_paths, cfg.seed)
+    )
     return [_report("qv-identity", "equality", worst, 0.0, tol, "mc-paths",
                     seed=cfg.seed, n_paths=n_paths)]
 
 
 def check_qv_band(cfg: RunConfig):
     params = cfg.params
-    lat = build_lattice(cfg.horizon, 100, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, 100)
     family = default_scenario_family(params)
-    dt = lat.dt
-    lo, hi = params.sigma_lower_sq * dt, params.sigma_upper_sq * dt
-    probs = []
+    lo, hi = params.sigma_lower_sq * lat.dt, params.sigma_upper_sq * lat.dt
     n_paths = min(cfg.n_paths, 10000)
-    for i, pol in enumerate(family):
-        ens = sample_paths(lat, pol, n_paths, cfg.seed + 100 + i)
+
+    def p_outside(ens):
         dqv = ens.d_qv
-        bad = np.any((dqv < lo) | (dqv > hi), axis=1)
-        probs.append(float(np.mean(bad)))
-    cap = capacity_estimate(probs)
+        return float(np.mean(np.any((dqv < lo) | (dqv > hi), axis=1)))
+
+    cap = capacity_estimate(
+        [p_outside(ens) for ens in _ensembles(lat, family, n_paths, cfg.seed + 100)]
+    )
     return [_report("qv-band", "equality", cap, 0.0, 0.0, "mc-paths",
                     seed=cfg.seed, n_paths=n_paths)]
 
@@ -327,16 +350,11 @@ def check_qv_band(cfg: RunConfig):
 
 
 def check_isometry(cfg: RunConfig):
-    params = cfg.params
     n = 100
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     dt = lat.dt
     tol = cfg.tol.get("isometry", 1e-8)
     reports = []
-
-    def dual(name, lhs_value, rhs_value):
-        reports.append(_report(f"isometry:{name}", "equality", lhs_value,
-                               rhs_value, tol, "augmented-DP"))
 
     # eta == 1 and indicator steps: the integral is a path increment
     for name, active in (
@@ -352,7 +370,8 @@ def check_isometry(cfg: RunConfig):
             return np.full(states.shape[0], v)
 
         rhs = run_walk(replace(spec, terminal=_zero, reward=reward)).value
-        dual(name, lhs, rhs)
+        reports.append(_report(f"isometry:{name}", "equality", lhs, rhs, tol,
+                               "augmented-DP"))
 
     # eta == B: integral via the pathwise identity int B dB = (B^2 - <B>)/2
     spec = qv_coord_walk(lat)
@@ -370,7 +389,7 @@ def check_isometry(cfg: RunConfig):
         return posv**2 * s2 * dt
 
     rhs = run_walk(replace(base, terminal=_zero, reward=reward_b)).value
-    dual("B", lhs, rhs)
+    reports.append(_report("isometry:B", "equality", lhs, rhs, tol, "augmented-DP"))
     return reports
 
 
@@ -378,35 +397,28 @@ def check_isometry(cfg: RunConfig):
 
 
 def check_doob(cfg: RunConfig):
-    params = cfg.params
     n = 100
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
-    family = default_scenario_family(params)
+    lat = _lattice(cfg, n)
+    family = default_scenario_family(cfg.params)
     p = 2.0
     const = (p / (p - 1.0)) ** p
     tol_rel = cfg.tol.get("doob", 0.05)
     n_paths = 100_000
-    reports = []
-    specs = [
-        ("B", StepProcess.constant(1.0)),
-        ("int-ind[0,T/2)", StepProcess.indicator(0, n // 2)),
+    specs = [  # (name, eta, level l with E_up[X_T^2] = E_up[B_l^2])
+        ("B", StepProcess.constant(1.0), n),
+        ("int-ind[0,T/2)", StepProcess.indicator(0, n // 2), n // 2),
     ]
-    for name, eta in specs:
-        if name == "B":
-            rhs_exp = lattice_expect(lat, CylinderFunctional((n,), parse("x1^2")))
-        else:
-            rhs_exp = lattice_expect(
-                lat, CylinderFunctional((n // 2,), parse("x1^2"))
-            )
-        rhs = const * rhs_exp
-        lhs = -np.inf
-        for seed in (1, 2, 3):
-            for i, pol in enumerate(family):
-                ens = sample_paths(lat, pol, n_paths, seed * 1000 + i)
-                X = ito_integral(eta, ens)
-                lhs = max(lhs, float(np.mean(np.max(np.abs(X), axis=1) ** p)))
+    lhs = _scenario_max(
+        _ensembles(lat, family, n_paths, 1000, 2000, 3000),
+        lambda ens: [float(np.mean(np.max(np.abs(ito_integral(eta, ens)), axis=1) ** p))
+                     for _, eta, _ in specs],
+    )
+    reports = []
+    for (name, _, level), lhs_j in zip(specs, lhs):
+        rhs_exp = lattice_expect(lat, CylinderFunctional((level,), parse("x1^2")))
         reports.append(
-            _report(f"doob:{name}", "inequality", lhs, rhs * (1 + tol_rel), 0.0,
+            _report(f"doob:{name}", "inequality", lhs_j,
+                    const * rhs_exp * (1 + tol_rel), 0.0,
                     "mc-scenarios|lattice-DP", seed=1, n_paths=n_paths,
                     constant=const, rhs_expectation=rhs_exp)
         )
@@ -442,12 +454,22 @@ def _downcrossings_many(paths: np.ndarray, a: float, b: float) -> np.ndarray:
     return count
 
 
+def _most_downcrossings(paths_per_scenario, a, b):
+    """Mean downcrossing count of [a, b] in the scenario with the largest mean,
+    and its standard error; each item is one scenario's (n_paths, n+1) paths."""
+    means, ses = [], []
+    for paths in paths_per_scenario:
+        counts = _downcrossings_many(paths, a, b)
+        means.append(float(np.mean(counts)))
+        ses.append(float(np.std(counts) / math.sqrt(len(counts))))
+    j = int(np.argmax(means))
+    return means[j], ses[j]
+
+
 def check_downcrossing(cfg: RunConfig):
-    params = cfg.params
     n = 100
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
-    family = default_scenario_family(params)
-    scen = _grid_aligned_scenarios(family)
+    lat = _lattice(cfg, n)
+    family = default_scenario_family(cfg.params)
     n_paths = 2000
     reports = []
 
@@ -457,19 +479,16 @@ def check_downcrossing(cfg: RunConfig):
     a, b = 1.0, 2.0
     x0 = tables[0].value_at_origin()
     bound = min(x0, b) / (b - a)
-    means, ses = [], []
-    for i, pol in enumerate(scen):
-        ens = sample_paths(lat, pol, n_paths, cfg.seed + 300 + i,
-                           track_coords=True)
-        v = eval_tables_on_paths(tables, ens)
-        counts = _downcrossings_many(v, a, b)
-        means.append(float(np.mean(counts)))
-        ses.append(float(np.std(counts) / math.sqrt(n_paths)))
-    j = int(np.argmax(means))
+    mean, se = _most_downcrossings(
+        (eval_tables_on_paths(tables, ens) for ens in _ensembles(
+            lat, _grid_aligned_scenarios(family), n_paths, cfg.seed + 300,
+            track_coords=True)),
+        a, b,
+    )
     reports.append(
-        _report("downcrossing:envelope", "inequality", means[j],
-                bound + 3 * ses[j], 0.0, "mc-scenarios", seed=cfg.seed,
-                n_paths=n_paths, bound=bound, start_value=x0)
+        _report("downcrossing:envelope", "inequality", mean, bound + 3 * se, 0.0,
+                "mc-scenarios", seed=cfg.seed, n_paths=n_paths, bound=bound,
+                start_value=x0)
     )
 
     # catalogue entry: positive constant (trivially zero crossings)
@@ -482,51 +501,51 @@ def check_downcrossing(cfg: RunConfig):
 
     # catalogue entry: 2 + (<B> - t), a decreasing positive supermartingale
     a2, b2 = 1.0, 1.5
-    means2, ses2 = [], []
-    for i, pol in enumerate(family):
-        ens = sample_paths(lat, pol, n_paths, cfg.seed + 400 + i)
-        v = 2.0 + ens.qv - ens.times[None, :]
-        counts = _downcrossings_many(v, a2, b2)
-        means2.append(float(np.mean(counts)))
-        ses2.append(float(np.std(counts) / math.sqrt(n_paths)))
-    j = int(np.argmax(means2))
+    mean2, se2 = _most_downcrossings(
+        (2.0 + ens.qv - ens.times[None, :]
+         for ens in _ensembles(lat, family, n_paths, cfg.seed + 400)),
+        a2, b2,
+    )
     bound2 = min(2.0, b2) / (b2 - a2)
     reports.append(
-        _report("downcrossing:compensated-qv", "inequality", means2[j],
-                bound2 + 3 * ses2[j], 0.0, "mc-scenarios", seed=cfg.seed,
+        _report("downcrossing:compensated-qv", "inequality", mean2,
+                bound2 + 3 * se2, 0.0, "mc-scenarios", seed=cfg.seed,
                 n_paths=n_paths, bound=bound2)
     )
     return reports
 
 
 def check_bdg(cfg: RunConfig):
-    params = cfg.params
     n = 100
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
-    family = default_scenario_family(params)
+    lat = _lattice(cfg, n)
+    family = default_scenario_family(cfg.params)
     dt = lat.dt
     c_upper, c_lower = 4.0, 0.25
     n_paths = 20_000
-    reports = []
     specs = [
         ("const1", StepProcess.constant(1.0)),
         ("ind[0,T/2)", StepProcess.indicator(0, n // 2)),
         ("B", StepProcess.adapted(lambda x: x, n, name="B")),
     ]
-    for name, eta in specs:
-        lhs = -np.inf
-        rhs_a = -np.inf  # E_up[int eta^2 dA], A = t
-        rhs_qv = -np.inf  # E_up[int eta^2 d<B>]
-        for i, pol in enumerate(family):
-            ens = sample_paths(lat, pol, n_paths, cfg.seed + 500 + i)
-            if np.any(ens.d_qv > dt + 1e-12):
-                raise ValueError("dominance contract d<B> <= dt violated")
-            I = ito_integral(eta, ens)
-            lhs = max(lhs, float(np.mean(np.max(np.abs(I), axis=1) ** 2)))
+
+    def measure(ens):
+        """Per integrand: E[max |int eta dB|^2], E[int eta^2 dA] with A = t,
+        and E[int eta^2 d<B>]."""
+        dqv = ens.d_qv
+        if np.any(dqv > dt + 1e-12):
+            raise ValueError("dominance contract d<B> <= dt violated")
+        out = []
+        for _, eta in specs:
             vals = eta.values_on(ens)
-            rhs_a = max(rhs_a, float(np.mean(np.sum(vals**2 * dt, axis=1))))
-            rhs_qv = max(rhs_qv, float(np.mean(np.sum(vals**2 * ens.d_qv,
-                                                      axis=1))))
+            out += [float(np.mean(np.max(np.abs(ito_integral(eta, ens)), axis=1) ** 2)),
+                    float(np.mean(np.sum(vals**2 * dt, axis=1))),
+                    float(np.mean(np.sum(vals**2 * dqv, axis=1)))]
+        return out
+
+    best = _scenario_max(_ensembles(lat, family, n_paths, cfg.seed + 500), measure)
+    reports = []
+    for j, (name, _) in enumerate(specs):
+        lhs, rhs_a, rhs_qv = best[3 * j : 3 * j + 3]
         reports.append(
             _report(f"bdg-upper:{name}", "inequality", lhs, c_upper * rhs_a,
                     0.0, "mc-scenarios", seed=cfg.seed, n_paths=n_paths,
@@ -564,6 +583,17 @@ def _condition_gaps(spec, M, f_sq_of, stop_levels, params):
     }
 
 
+def _recovery_gap(eta, ens):
+    """Largest per-path |int dM / eta - B| for M = int eta dB."""
+    M = ito_integral(eta, ens)
+    fvals = eta.values_on(ens)
+    if np.any(np.abs(fvals) < 1e-9):
+        raise ValueError("hypothesis 0 < C <= |f| violated")
+    X = np.zeros_like(M)
+    np.cumsum(np.diff(M, axis=1) / fvals, axis=1, out=X[:, 1:])
+    return float(np.max(np.abs(X - ens.B)))
+
+
 def check_representation(cfg: RunConfig):
     """Round trip of the integral-representation equivalence.
 
@@ -578,67 +608,47 @@ def check_representation(cfg: RunConfig):
     T = cfg.horizon
     tol = cfg.tol.get("representation", 1e-8)
     tol_path = cfg.tol.get("representation-path", 1e-12)
-    family = default_scenario_family(params)
-    scen = _grid_aligned_scenarios(family)
+    scen = _grid_aligned_scenarios(default_scenario_family(params))
     reports = []
 
     cases = []  # (name, walk, M, f_sq_of, eta StepProcess)
-    steps = [(f"const{c:g}", np.full(64, c), StepProcess.constant(c)) for c in (1.0, 2.0)]
-    steps.append(("step", np.where(np.arange(32) < 16, 1.0, 1.5),
-                  StepProcess((0, 16), (1.0, 1.5), name="step")))
-    for name, vals, eta in steps:
-        lat = build_lattice(T, len(vals), params, cfg.sigma_refinement)
-        spec = weighted_coord_walk(lat, vals)
+    for name, vals, eta in (
+        ("const1", np.full(64, 1.0), StepProcess.constant(1.0)),
+        ("const2", np.full(64, 2.0), StepProcess.constant(2.0)),
+        ("step", np.where(np.arange(32) < 16, 1.0, 1.5),
+         StepProcess((0, 16), (1.0, 1.5), name="step")),
+    ):
+        spec = weighted_coord_walk(_lattice(cfg, len(vals)), vals)
         cases.append((
             name, spec, lambda st, l, d=spec.decode: d(st),
             lambda k, states, vals=vals: np.full(states.shape[0], vals[k] ** 2),
             eta,
         ))
-    n = 12
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
-    sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(lat.dt)
-
-    def f_sq_abs(k, states, sv=sv, sqdt=sqdt):
-        pos = states[:, : len(sv)] @ (sv * sqdt)
-        return (np.abs(pos) + 1.0) ** 2
-
-    spec = adapted_abs_walk(lat)
+    spec = adapted_abs_walk(_lattice(cfg, 12))
     cases.append((
         "abs(B)+1", spec, lambda st, l, d=spec.decode: d(st)[1],
-        f_sq_abs,
-        StepProcess.adapted(lambda x: np.abs(x) + 1.0, n, name="abs(B)+1"),
+        lambda k, states, d=spec.decode: (np.abs(d(states)[0]) + 1.0) ** 2,
+        StepProcess.adapted(lambda x: np.abs(x) + 1.0, 12, name="abs(B)+1"),
     ))
 
     for name, spec, M, f_sq_of, eta in cases:
-        lat = spec.lattice
-        n = lat.n_steps
+        n = spec.lattice.n_steps
         stops = sorted({0, n // 4, n // 2, 3 * n // 4})
         gaps = _condition_gaps(spec, M, f_sq_of, stops, params)
-        worst = max(gaps.values())
         reports.append(
-            _report(f"representation:{name}", "equality", worst, 0.0, tol,
-                    "augmented-DP", **{f"gap_{k}": v for k, v in gaps.items()})
+            _report(f"representation:{name}", "equality", max(gaps.values()), 0.0,
+                    tol, "augmented-DP", **{f"gap_{k}": v for k, v in gaps.items()})
         )
         # reverse direction: per-path recovery of the driver
-        rec = 0.0
-        for i, pol in enumerate(scen):
-            ens = sample_paths(lat, pol, 2000, cfg.seed + 700 + i)
-            M = ito_integral(eta, ens)
-            fvals = eta.values_on(ens)
-            if np.any(np.abs(fvals) < 1e-9):
-                raise ValueError("hypothesis 0 < C <= |f| violated")
-            X = np.zeros_like(M)
-            np.cumsum(np.diff(M, axis=1) / fvals, axis=1, out=X[:, 1:])
-            rec = max(rec, float(np.max(np.abs(X - ens.B))))
+        rec = max(_recovery_gap(eta, ens)
+                  for ens in _ensembles(spec.lattice, scen, 2000, cfg.seed + 700))
         reports.append(
             _report(f"representation-recovery:{name}", "equality", rec, 0.0,
                     tol_path, "mc-paths", seed=cfg.seed, n_paths=2000)
         )
 
     # negative control: M = 2B claimed to have integrand f == 1
-    n = 32
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, 32)
     spec = coord_walk(lat)
     res = run_walk(
         replace(spec, terminal=lambda s: (2.0 * spec.decode(s)) ** 2,
@@ -658,35 +668,28 @@ def check_gbm_characterization(cfg: RunConfig):
     params = cfg.params
     T = cfg.horizon
     n = 50
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     tol = cfg.tol.get("gbm-characterization", 1e-8)
     family = default_scenario_family(params)
     reports = []
     s = n // 2
     t_s = s * lat.dt
 
-    # the path process itself: all four conditions
-    X = CylinderFunctional((n,), parse("x1"), mode="levels")
-    tab = conditional_expect(lat, X, s)
-    mask = tab.valid_mask()
-    pos = tab.positions()
-    g_sym = float(np.max(np.abs(tab.values[mask] - pos[mask])))
-    Xn = CylinderFunctional((n,), parse("-x1"), mode="levels")
-    tabn = conditional_expect(lat, Xn, s)
-    g_sym = max(g_sym, float(np.max(np.abs(tabn.values[mask] + pos[mask]))))
+    def table(text):
+        X = CylinderFunctional((n,), parse(text), mode="levels")
+        return conditional_expect(lat, X, s)
 
-    X2 = CylinderFunctional((n,), parse("x1^2"), mode="levels")
-    tab2 = conditional_expect(lat, X2, s)
-    expected = pos**2 + params.sigma_upper_sq * (T - t_s)
-    g_quad = float(np.max(np.abs(tab2.values[mask] - expected[mask])))
+    # the path process itself: all four conditions
+    tab = table("x1")
+    pos = tab.positions()
+    g_sym = max(_node_gap(tab, pos), _node_gap(table("-x1"), -pos))
+    g_quad = _node_gap(table("x1^2"), pos**2 + params.sigma_upper_sq * (T - t_s))
 
     lower = -lattice_expect(lat, CylinderFunctional((n,), parse("-(x1^2)")))
     g_low = abs(lower - params.sigma_lower_sq * T)
 
-    inc = 0.0
-    for i, pol in enumerate(family):
-        ens = sample_paths(lat, pol, 2000, cfg.seed + 800 + i)
-        inc = max(inc, float(np.max(np.abs(np.diff(ens.B, axis=1)))))
+    inc = max(float(np.max(np.abs(np.diff(ens.B, axis=1))))
+              for ens in _ensembles(lat, family, 2000, cfg.seed + 800))
     bound = math.sqrt(params.sigma_upper_sq * lat.dt)
     worst = max(g_sym, g_quad, g_low, max(inc - bound, 0.0))
     reports.append(
@@ -695,11 +698,9 @@ def check_gbm_characterization(cfg: RunConfig):
                 gap_lower=g_low, max_step=inc, step_bound=bound)
     )
 
-    # negative control: 2B fails the quadratic condition with slope 4, not 1
-    X4 = CylinderFunctional((n,), parse("4*x1^2"), mode="levels")
-    tab4 = conditional_expect(lat, X4, s)
-    expected4 = 4.0 * pos**2 + (T - t_s)  # what a unit-slope martingale needs
-    g4 = float(np.max(np.abs(tab4.values[mask] - expected4[mask])))
+    # negative control: 2B fails the quadratic condition with slope 4, not 1;
+    # the target is what a unit-slope martingale needs
+    g4 = _node_gap(table("4*x1^2"), 4.0 * pos**2 + (T - t_s))
     slope = 4.0 * params.sigma_upper_sq
     reports.append(
         _report("gbm-characterization:2B", "equality", g4, 0.0, tol,
@@ -723,7 +724,7 @@ def check_symmetric_martingale(cfg: RunConfig):
     params = cfg.params
     T = cfg.horizon
     n = 40
-    lat = build_lattice(T, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     tol = cfg.tol.get("symmetric-martingale", 1e-8)
     s = n // 2
     reports = []
@@ -760,20 +761,15 @@ def check_symmetric_martingale(cfg: RunConfig):
 def check_additivity(cfg: RunConfig):
     params = cfg.params
     n, s = 16, 8
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     tol = cfg.tol.get("additivity", 1e-10)
     reports = []
 
-    def table(text):
-        X = CylinderFunctional((s, n), parse(text), mode="levels")
-        return conditional_expect(lat, X, s)
-
-    t_x = table("x2^2")
-    t_y = table("x2 - x1")
-    t_sum = table("x2^2 + x2 - x1")
-    mask = t_x.valid_mask()
-    g = float(np.max(np.abs(t_sum.values[mask] - t_x.values[mask]
-                            - t_y.values[mask])))
+    t_x, t_y, t_sum = (
+        conditional_expect(lat, CylinderFunctional((s, n), parse(t), mode="levels"), s)
+        for t in ("x2^2", "x2 - x1", "x2^2 + x2 - x1")
+    )
+    g = _node_gap(t_sum, t_x.values, t_y.values)
     reports.append(_report("additivity:symmetric-increment", "equality", g,
                            0.0, tol, "lattice-DP"))
 
@@ -809,9 +805,8 @@ def check_additivity(cfg: RunConfig):
 
 def check_transfer(cfg: RunConfig):
     """The three equivalent insertions of a squared martingale increment."""
-    params = cfg.params
     n, s = 16, 8
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     tol = cfg.tol.get("transfer", 1e-10)
     r = lat.n_sigma
     sv = np.asarray(lat.sigma_values)
@@ -869,11 +864,10 @@ def check_transfer(cfg: RunConfig):
 def check_compensator(cfg: RunConfig):
     params = cfg.params
     n = 100
-    lat = build_lattice(cfg.horizon, n, params, cfg.sigma_refinement)
+    lat = _lattice(cfg, n)
     family = default_scenario_family(params)
     tol_dp = cfg.tol.get("compensator", 1e-8)
     dt = lat.dt
-    reports = []
     n_paths = 5000
 
     still = coord_walk(lat, active=np.zeros(n, dtype=bool))  # one state per level
@@ -883,15 +877,16 @@ def check_compensator(cfg: RunConfig):
         ("const-1", StepProcess.constant(-1.0), still, lambda st: np.full(st.shape[0], -1.0)),
         ("B", StepProcess.adapted(lambda x: x, n, name="B"), walk_b, walk_b.decode),
     ]
-    for name, f, spec, f_of in cases:
-        # per-path monotonicity across every scenario
-        worst_inc = -np.inf
-        for i, pol in enumerate(family):
-            ens = sample_paths(lat, pol, n_paths, cfg.seed + 900 + i)
-            Xc = g_compensated(f, ens, params)
-            worst_inc = max(worst_inc, float(np.max(np.diff(Xc, axis=1))))
+    # per-path monotonicity across every scenario
+    worst_inc = _scenario_max(
+        _ensembles(lat, family, n_paths, cfg.seed + 900),
+        lambda ens: [float(np.max(np.diff(g_compensated(f, ens, params), axis=1)))
+                     for _, f, _, _ in cases],
+    )
+    reports = []
+    for (name, _, spec, f_of), inc in zip(cases, worst_inc):
         reports.append(
-            _report(f"compensator-monotone:{name}", "inequality", worst_inc,
+            _report(f"compensator-monotone:{name}", "inequality", inc,
                     0.0, 1e-12, "mc-paths", seed=cfg.seed, n_paths=n_paths)
         )
 

@@ -149,6 +149,28 @@ def test_level_past_lattice_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --times levels must lie in [1, 4], got '9'\n"
 
 
+def test_decreasing_levels_are_usage_error(capsys):
+    rc = main(["expect", "--phi", "x1*x2", "--times", "3,2", "--backend", "lattice",
+               "--n-steps", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --times levels must strictly increase, got '3,2'\n"
+
+
+def test_repeated_levels_are_usage_error(capsys):
+    rc = main(["expect", "--phi", "x1*x2", "--times", "2,2", "--backend", "lattice",
+               "--n-steps", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --times levels must strictly increase, got '2,2'\n"
+
+
+def test_fewer_levels_than_payoff_variables_is_usage_error(capsys):
+    rc = main(["expect", "--phi", "x1*x2", "--times", "3", "--backend", "lattice",
+               "--n-steps", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the payoff uses x2 but --times gives 1 level(s): '3'\n")
+
+
 def test_conditioning_level_past_horizon_is_usage_error(tmp_path, capsys):
     rc = main(["conditional", "--phi", "x1^2", "--j", "9", "--n-steps", "4",
                "--csv", str(tmp_path / "c.csv")])

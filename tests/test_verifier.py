@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gexpect import verifier
 from gexpect.config import RunConfig
 from gexpect.verifier import (
     CHECKS,
@@ -131,3 +132,18 @@ def test_timing_flag_populates_wall_ms():
 def test_representation_requires_positive_lower_band():
     with pytest.raises(ValueError, match="hypothesis"):
         CHECKS["representation"](RunConfig(sigma_lower_sq=0.0))
+
+
+@pytest.mark.parametrize("check, n_ensembles", [("doob", 12), ("bdg", 4),
+                                                 ("compensator", 4)])
+def test_each_ensemble_is_sampled_once_per_check(monkeypatch, check, n_ensembles):
+    calls = []
+    real = verifier.sample_paths
+
+    def recording(lat, policy, n_paths, seed, **kw):
+        calls.append((policy.name, seed, n_paths, lat.n_steps))
+        return real(lat, policy, min(n_paths, 1000), seed, **kw)
+
+    monkeypatch.setattr(verifier, "sample_paths", recording)
+    CHECKS[check](CFG)
+    assert len(calls) == len(set(calls)) == n_ensembles
