@@ -3,15 +3,25 @@ cylinder functionals of the increments alone (running integrals, quadratic
 variation, adapted integrands).
 
 States are integer row vectors; each builder below chooses coordinates that
-make its functional an exact function of the state (net step counts per
-volatility, per-volatility step totals for the quadratic variation, scaled
-integer units for running integrals).  The forward pass enumerates reachable
-states level by level.  It packs each child state into an integer key within
-the box of the children's per-column bounds and deduplicates the keys with a
-bool occupancy table over that box, or with ``np.unique`` when the box is much
-larger than the number of children; either way a level's states are sorted
-lexicographically and its child index maps are int32.  The states and maps of
-every level stay held until the backward pass, and their bytes are guarded.
+make its functional an exact function of the state.  Positions live on the
+lattice's node basis (:attr:`gexpect.glattice.Lattice.basis`, through
+:func:`basis_axes`): choice i moves a block of position axes by
++-``steps[i]``, so on a commensurate grid such as the default band one axis
+holds the position and paths that reach the same position merge.  Next to
+it sit per-volatility step totals for the quadratic variation, one block per
+integrand value for a step integrand, and scaled integer units for a running
+integral.  ``coord_walk`` alone keeps net counts per volatility
+(``lat.count_basis``), because callers outside this module read its states
+as counts.
+
+The forward pass enumerates reachable states level by level.  It packs each
+child state into an integer key within the box of the children's per-column
+bounds and deduplicates the keys with a bool occupancy table over that box,
+or with ``np.unique`` when the box is much larger than the number of
+children; either way a level's states are sorted lexicographically and its
+child index maps are int32.  The states and maps of every level stay held
+until the backward pass; their bytes, plus each level's child blocks, keys
+and dedup tables, are guarded before they are allocated.
 The backward pass applies, at every state, the lattice's backward-step rule
 (:func:`gexpect.glattice.backward_step`): the maximum over volatility choices
 of the branch average plus an optional per-step reward, resolving ties toward
@@ -27,12 +37,13 @@ from typing import Callable
 
 import numpy as np
 
-from .glattice import Lattice, backward_step
+from .glattice import Lattice, NodeBasis, backward_step
 
 __all__ = [
     "WalkSpec",
     "WalkResult",
     "run_walk",
+    "basis_axes",
     "coord_walk",
     "qv_coord_walk",
     "weighted_coord_walk",
@@ -44,8 +55,9 @@ __all__ = [
 # many cells per child state; larger boxes fall back to np.unique.
 _OCCUPANCY_FACTOR = 8
 # Guard against runaway state spaces: the bytes of the states (8 per
-# coordinate) and child index maps (4 per entry) a walk may hold.  It also
-# keeps every level far below the 2**31 states the int32 maps can index.
+# coordinate) and child index maps (4 per entry) a walk holds, plus the child
+# blocks, keys and dedup tables of the level being built.  It also keeps
+# every level far below the 2**31 states the int32 maps can index.
 _MAX_WALK_BYTES = 2 << 30
 
 
@@ -130,6 +142,24 @@ def _dedup(keys: np.ndarray, box: int, n_parts: int):
     return uniq, [rank[p] for p in np.split(keys, n_parts)]
 
 
+def _dedup_bytes(box: int, n_keys: int) -> int:
+    """Bytes of the tables ``_dedup`` allocates besides the maps it returns:
+    the bool occupancy and int32 rank tables over the box, or np.unique's
+    int64 sort permutation and inverse."""
+    if box > _OCCUPANCY_FACTOR * n_keys:
+        return 16 * n_keys
+    return 5 * box
+
+
+def _guard(level: int, need: int):
+    if need > _MAX_WALK_BYTES:
+        raise RuntimeError(
+            f"state space too large at level {level} ({need} bytes of states, "
+            "maps and this level's child blocks, keys and dedup tables); "
+            "reduce n_steps"
+        )
+
+
 def run_walk(spec: WalkSpec, stop_levels=()) -> WalkResult:
     """Forward state enumeration then backward maximization.
 
@@ -150,19 +180,19 @@ def run_walk(spec: WalkSpec, stop_levels=()) -> WalkResult:
     # child index maps: maps[k][i_sigma] = (up, down) indices into states at k+1
     maps = []
     for k in range(n):
+        n_keys = n_children * states.shape[0]
+        # the child blocks and their keys, guarded before they are made
+        transient = 8 * (d + 1) * n_keys
+        _guard(k + 1, held + transient)
         children = []
         for i in range(len(grid)):
             for sign in (1, -1):
                 children.append(spec.transition(k, states, i, sign))
         keys, lo, span = _pack(children)
-        uniq, parts = _dedup(keys, math.prod(span), n_children)
-        held += 8 * d * uniq.size + 4 * n_children * states.shape[0]
-        if held > _MAX_WALK_BYTES:
-            raise RuntimeError(
-                f"state space too large at level {k + 1} "
-                f"({uniq.size} states, {held} bytes of states and maps); "
-                "reduce n_steps"
-            )
+        box = math.prod(span)
+        _guard(k + 1, held + transient + _dedup_bytes(box, n_keys))
+        uniq, parts = _dedup(keys, box, n_children)
+        held += 8 * d * uniq.size + 4 * n_keys
         next_states = _unpack(uniq, lo, span)
         maps.append(list(zip(parts[::2], parts[1::2])))
         level_states.append(next_states)
@@ -187,16 +217,26 @@ def run_walk(spec: WalkSpec, stop_levels=()) -> WalkResult:
 # --- state builders ----------------------------------------------------------
 
 
+def basis_axes(lat: Lattice, basis: NodeBasis | None = None):
+    """(steps, unit) of ``basis`` (default ``lat.basis``) as arrays: choice i
+    moves a block of position axes by +-steps[i] (int64, one row per
+    volatility), and axes c lie c @ unit * sqrt(dt) from where the block
+    started."""
+    basis = lat.basis if basis is None else basis
+    return np.array(basis.steps, dtype=np.int64), np.asarray(basis.unit)
+
+
 def coord_walk(lat: Lattice, active=None) -> WalkSpec:
     """State = net counts per volatility, accumulated on active levels only.
 
     decode gives the accumulated position sum(c_j * sigma_j * sqrt(dt)); with
     ``active`` a 0/1 per-level mask, that position is the integral of the
-    indicator step process against the path.
+    indicator step process against the path.  The state stays on
+    ``lat.count_basis`` because callers outside this module build walks
+    from its ``init_state`` and ``transition`` and read a state as counts.
     """
-    r = lat.n_sigma
-    sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(lat.dt)
+    steps, unit = basis_axes(lat, lat.count_basis)
+    w = unit * math.sqrt(lat.dt)
     if active is None:
         active = np.ones(lat.n_steps, dtype=bool)
     active = np.asarray(active, dtype=bool)
@@ -204,67 +244,68 @@ def coord_walk(lat: Lattice, active=None) -> WalkSpec:
     def transition(level, states, i, sign):
         if not active[level]:
             return states
-        out = states.copy()
-        out[:, i] += sign
-        return out
+        return states + sign * steps[i]
 
     def decode(states):
-        return states @ (sv * sqdt)
+        return states @ w
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(r, dtype=np.int64),
+        init_state=np.zeros(steps.shape[1], dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode(s),
         decode=decode,
     )
 
 
-def qv_coord_walk(lat: Lattice) -> WalkSpec:
-    """State = (net counts per volatility, step totals for all but the last).
+def qv_coord_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
+    """State = (position axes of ``basis``, step totals m_j for all but the
+    last volatility).
 
-    decode returns (position B, quadratic variation): the step totals m_j
-    give qv = dt * sum_j m_j * sigma_j^2 exactly, with the last total
-    recovered from the level.
+    decode returns (position B, quadratic variation): the step totals give
+    qv = dt * sum_j m_j * sigma_j^2 exactly, with the last total recovered
+    from the level.  On the default band the state is (p, m_1).
     """
+    steps, unit = basis_axes(lat, basis)
+    a = steps.shape[1]
     r = lat.n_sigma
-    sv = np.asarray(lat.sigma_values)
+    w = unit * math.sqrt(lat.dt)
     s2 = np.asarray(lat.sigma_grid)
-    sqdt = math.sqrt(lat.dt)
     dt = lat.dt
-    d = 2 * r - 1
 
     def transition(level, states, i, sign):
         out = states.copy()
-        out[:, i] += sign
+        out[:, :a] += sign * steps[i]
         if i < r - 1:
-            out[:, r + i] += 1
+            out[:, a + i] += 1
         return out
 
     def decode_with_level(states, level):
-        pos = states[:, :r] @ (sv * sqdt)
+        pos = states[:, :a] @ w
         if r == 1:
             qv = np.full(states.shape[0], level * s2[0] * dt)
         else:
-            m = states[:, r:]
+            m = states[:, a:]
             m_last = level - m.sum(axis=1)
             qv = dt * (m @ s2[:-1] + m_last * s2[-1])
         return pos, qv
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(d, dtype=np.int64),
+        init_state=np.zeros(a + r - 1, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode_with_level(s, lat.n_steps)[0],
         decode=decode_with_level,
     )
 
 
-def weighted_coord_walk(lat: Lattice, level_values) -> WalkSpec:
-    """State = net counts per (distinct integrand value, volatility).
+def weighted_coord_walk(lat: Lattice, level_values,
+                        basis: NodeBasis | None = None) -> WalkSpec:
+    """State = one block of position axes of ``basis`` per distinct
+    integrand value, moved on the levels that take that value.
 
     For a deterministic step integrand taking few distinct values, the
-    running integral sum_k f_k * dB_k is an exact function of these counts.
+    running integral sum_k f_k * dB_k is an exact function of these blocks.
     decode returns the running integral.
     """
     vals = np.asarray(level_values, dtype=float)
@@ -272,17 +313,15 @@ def weighted_coord_walk(lat: Lattice, level_values) -> WalkSpec:
         raise ValueError("need one integrand value per step")
     distinct = sorted(set(float(v) for v in vals))
     classes = np.array([distinct.index(float(v)) for v in vals])
-    r = lat.n_sigma
-    nc = len(distinct)
-    sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(lat.dt)
-    weights = np.array(
-        [distinct[c] * sv[j] * sqdt for c in range(nc) for j in range(r)]
-    )
+    steps, unit = basis_axes(lat, basis)
+    a = steps.shape[1]
+    w = unit * math.sqrt(lat.dt)
+    weights = np.concatenate([v * w for v in distinct])
 
     def transition(level, states, i, sign):
         out = states.copy()
-        out[:, classes[level] * r + i] += sign
+        c = classes[level] * a
+        out[:, c:c + a] += sign * steps[i]
         return out
 
     def decode(states):
@@ -290,48 +329,58 @@ def weighted_coord_walk(lat: Lattice, level_values) -> WalkSpec:
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(nc * r, dtype=np.int64),
+        init_state=np.zeros(len(distinct) * a, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode(s),
         decode=decode,
     )
 
 
-def adapted_abs_walk(lat: Lattice) -> WalkSpec:
+def _integral_scale(unit, sigma_values) -> float:
+    """Units per dt of the scaled integral sum_k |B_k| dB_k: 4 when every
+    unit_a * sigma_i * 4 is an integer, so that the rounding in
+    ``adapted_abs_walk``'s transition is exact; else 2**20."""
+    rates = np.multiply.outer(unit, sigma_values) * 4.0
+    if np.allclose(rates, np.round(rates), rtol=0, atol=1e-12):
+        return 4.0
+    return float(2**20)
+
+
+def adapted_abs_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
     """State for the running integral of (|B| + 1) against the path.
 
-    The integral splits as sum_k |B_k| dB_k + B, so the state is the net
-    counts plus one scaled integer u with sum_k |B_k| dB_k = u * dt / scale.
-    Exact whenever all pairwise products of grid volatilities are integer
-    multiples of 1/scale (true for the default band endpoints); otherwise the
-    scaled units quantize the integral at resolution dt / scale.
+    The integral splits as sum_k |B_k| dB_k + B, so the state is the
+    position axes of ``basis`` plus one scaled integer u with
+    sum_k |B_k| dB_k = u * dt / scale.  A step at volatility sigma_i adds
+    +-|B_k / sqrt(dt)| * sigma_i * scale units, rounded, where B_k / sqrt(dt)
+    is an integer combination of the units: exact when every
+    unit_a * sigma_i * scale is an integer (on the default band u = 0.5 and
+    scale = 4); otherwise the scaled units quantize the integral at
+    resolution dt / scale.
     """
-    r = lat.n_sigma
+    steps, unit = basis_axes(lat, basis)
+    a = steps.shape[1]
     sv = np.asarray(lat.sigma_values)
-    sqdt = math.sqrt(lat.dt)
+    w = unit * math.sqrt(lat.dt)
     dt = lat.dt
-    # choose the scale: exact denominator if products are rational dyadics
-    scale = 4.0
-    prods = np.multiply.outer(sv, sv).ravel()
-    if not np.allclose(prods * scale, np.round(prods * scale), atol=1e-12):
-        scale = float(2**20)
+    scale = _integral_scale(unit, sv)
 
     def transition(level, states, i, sign):
         out = states.copy()
-        pos_units = states[:, :r] @ sv  # position / sqrt(dt)
+        pos_units = states[:, :a] @ unit  # position / sqrt(dt)
         du = np.rint(np.abs(pos_units) * sv[i] * scale).astype(np.int64)
-        out[:, r] += sign * du
-        out[:, i] += sign
+        out[:, a] += sign * du
+        out[:, :a] += sign * steps[i]
         return out
 
     def decode(states):
-        pos = states[:, :r] @ (sv * sqdt)
-        integral = states[:, r] * (dt / scale) + pos
+        pos = states[:, :a] @ w
+        integral = states[:, a] * (dt / scale) + pos
         return pos, integral
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(r + 1, dtype=np.int64),
+        init_state=np.zeros(a + 1, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode(s)[1],
         decode=decode,

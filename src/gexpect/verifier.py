@@ -31,6 +31,7 @@ from .config import RunConfig
 from .dp import (
     WalkSpec,
     adapted_abs_walk,
+    basis_axes,
     coord_walk,
     qv_coord_walk,
     run_walk,
@@ -809,30 +810,32 @@ def check_transfer(cfg: RunConfig):
     lat = _lattice(cfg, n)
     tol = cfg.tol.get("transfer", 1e-10)
     r = lat.n_sigma
-    sv = np.asarray(lat.sigma_values)
+    steps, unit = basis_axes(lat)
+    a = steps.shape[1]
+    w = unit * math.sqrt(lat.dt)
     s2g = np.asarray(lat.sigma_grid)
-    sqdt = math.sqrt(lat.dt)
     dt = lat.dt
 
-    # state: frozen counts (r), running counts (r), post-s step totals (r-1)
-    d = 2 * r + (r - 1)
+    # state: frozen position (a axes), running position (a), post-s step
+    # totals (r - 1)
+    d = 2 * a + (r - 1)
 
     def transition(level, states, i, sign):
         out = states.copy()
-        out[:, r + i] += sign
+        out[:, a:2 * a] += sign * steps[i]
         if level < s:
-            out[:, i] += sign
+            out[:, :a] += sign * steps[i]
         elif i < r - 1:
-            out[:, 2 * r + i] += 1
+            out[:, 2 * a + i] += 1
         return out
 
     def decode(states, level):
-        b_s = states[:, :r] @ (sv * sqdt)
-        b_t = states[:, r : 2 * r] @ (sv * sqdt)
+        b_s = states[:, :a] @ w
+        b_t = states[:, a:2 * a] @ w
         if r == 1:
             dqv = max(level - s, 0) * s2g[0] * dt
         else:
-            m = states[:, 2 * r :]
+            m = states[:, 2 * a:]
             m_last = max(level - s, 0) - m.sum(axis=1)
             dqv = dt * (m @ s2g[:-1] + m_last * s2g[-1])
         return b_s, b_t, dqv

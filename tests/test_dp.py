@@ -146,19 +146,134 @@ def test_stop_levels_capture_conditionals():
     np.testing.assert_allclose(values3, pos**2 + 0.5, atol=1e-13)
 
 
+# --- node bases ---------------------------------------------------------------
+
+
+def _basis_cases(lat):
+    """(builder, terminal, stop quantity) for each builder that takes a
+    basis; the quantity, (position, qv) or an integral, is what a stop value
+    depends on."""
+    n = lat.n_steps
+    f = np.where(np.arange(n) < n // 2, 1.0, -2.0)
+    yield (
+        qv_coord_walk,
+        lambda d: lambda s: np.abs(d(s, n)[0] - 0.3) * (1 + d(s, n)[1]) - d(s, n)[1] ** 2,
+        lambda d, s, l: np.column_stack(d(s, l)),
+    )
+    yield (
+        lambda lat, basis: weighted_coord_walk(lat, f, basis=basis),
+        lambda d: lambda s: np.abs(d(s) - 0.2) + d(s) ** 3,
+        lambda d, s, l: d(s)[:, None],
+    )
+    yield (
+        adapted_abs_walk,
+        lambda d: lambda s: d(s)[1] ** 2 - np.abs(d(s)[0]),
+        lambda d, s, l: np.column_stack(d(s)),
+    )
+
+
+@pytest.mark.parametrize("params", [PARAMS, GParams(0.3, 1.2)], ids=["default", "0.3-1.2"])
+@pytest.mark.parametrize("n", [3, 8])
+def test_position_and_count_bases_agree(params, n):
+    """Oracle: each builder gives the same value, and the same stop value for
+    every decoded stop quantity, on the position basis and on the count
+    basis; on the default band at n = 8 the position basis holds fewer
+    states."""
+    lat = build_lattice(1.0, n, params)
+    assert lat.basis.n_axes == 1
+    for builder, terminal, quantity in _basis_cases(lat):
+        runs = []
+        for basis in (lat.basis, lat.count_basis):
+            spec = builder(lat, basis=basis)
+            spec = replace(spec, terminal=terminal(spec.decode))
+            runs.append((spec.decode, run_walk(spec, stop_levels=range(n + 1))))
+        (dec_p, pos), (dec_c, cnt) = runs
+        assert abs(pos.value - cnt.value) <= 1e-12
+        for k in range(n + 1):
+            (sp, vp), (sc, vc) = pos.stops[k], cnt.stops[k]
+            qp, qc = quantity(dec_p, sp, k), quantity(dec_c, sc, k)
+            # pairs of states whose decoded quantities agree to roundoff
+            close = np.max(np.abs(qc[:, None, :] - qp[None, :, :]), axis=2) <= 1e-9
+            assert close.any(axis=0).all() and close.any(axis=1).all()
+            gaps = np.abs(vc[:, None] - vp[None, :])[close]
+            assert gaps.max() <= 1e-12
+        if params == PARAMS and n == 8:
+            assert pos.stops[n][0].shape[0] < cnt.stops[n][0].shape[0]
+
+
+def test_adapted_abs_rounding_is_exact_on_default_band(monkeypatch):
+    # u = 0.5 and scale 4: every rounded increment is already an integer
+    rint = np.rint
+    exact = []
+
+    def checked(x, *args, **kwargs):
+        out = rint(x, *args, **kwargs)
+        exact.append(np.array_equal(out, x))
+        return out
+
+    monkeypatch.setattr(np, "rint", checked)
+    lat = build_lattice(1.0, 12, PARAMS)
+    spec = adapted_abs_walk(lat)
+    run_walk(replace(spec, terminal=lambda s, d=spec.decode: d(s)[1] ** 2))
+    assert len(exact) == 2 * lat.n_sigma * 12 and all(exact)
+
+
+def test_adapted_abs_scale_falls_back_when_rounding_is_inexact():
+    # sqrt(0.3) * sqrt(1.2) * 4 is no integer: the integral's unit is dt / 2**20
+    lat = build_lattice(1.0, 4, GParams(0.3, 1.2))
+    spec = adapted_abs_walk(lat)
+    one_unit = np.zeros((1, spec.init_state.size), dtype=np.int64)
+    one_unit[0, -1] = 1
+    assert spec.decode(one_unit)[1][0] == lat.dt / 2**20
+
+
+def _walk_bytes(stops, n, n_children):
+    """(held, needs): the bytes of states (8 per coordinate) and maps (4 per
+    entry of the 2r maps of each level) a walk holds at the end, and the
+    guarded total of each level 1..n: the bytes held before it plus its
+    child blocks (8 per coordinate), keys (8 each) and dedup tables (5 per
+    cell of the children's box on the occupancy path)."""
+    sizes = [stops[k][0].shape[0] for k in range(n + 1)]
+    d = stops[0][0].shape[1]
+    held, needs = 8 * d * sizes[0], []
+    for k in range(n):
+        n_keys = n_children * sizes[k]
+        nxt = stops[k + 1][0]
+        box = math.prod(int(x) for x in nxt.max(axis=0) - nxt.min(axis=0) + 1)
+        assert box <= dp._OCCUPANCY_FACTOR * n_keys
+        needs.append(held + 8 * (d + 1) * n_keys + 5 * box)
+        held += 8 * d * sizes[k + 1] + 4 * n_keys
+    return held, needs
+
+
 def test_state_budget_guard(monkeypatch):
     n = 10
     lat = build_lattice(1.0, n, PARAMS)
     spec = qv_coord_walk(lat)
     spec.terminal = lambda s, d=spec.decode: d(s, n)[0]
     stops = run_walk(spec, stop_levels=range(n + 1)).stops
-    sizes = [stops[k][0].shape[0] for k in range(n + 1)]
-    # 8 bytes per state coordinate, 4 per entry of the 2r maps of each level
-    held = 8 * 3 * sum(sizes) + 4 * 4 * sum(sizes[:-1])
-    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", held)
+    _, needs = _walk_bytes(stops, n, 2 * lat.n_sigma)
+    need = max(needs)
+    level = needs.index(need) + 1
+    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", need)
     assert run_walk(spec).value == pytest.approx(0.0, abs=1e-13)
-    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", held - 1)
-    with pytest.raises(RuntimeError, match=f"state space too large at level {n}"):
+    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", need - 1)
+    with pytest.raises(RuntimeError, match=f"state space too large at level {level}"):
+        run_walk(spec)
+
+
+def test_state_budget_guard_counts_level_transients(monkeypatch):
+    # a limit that covers every state and map the walk holds is refused
+    # while a level's child blocks, keys and dedup tables are alive
+    n = 10
+    lat = build_lattice(1.0, n, PARAMS)
+    spec = qv_coord_walk(lat)
+    spec.terminal = lambda s, d=spec.decode: d(s, n)[0]
+    stops = run_walk(spec, stop_levels=range(n + 1)).stops
+    held, needs = _walk_bytes(stops, n, 2 * lat.n_sigma)
+    level = next(k + 1 for k, need in enumerate(needs) if need > held)
+    monkeypatch.setattr(dp, "_MAX_WALK_BYTES", held)
+    with pytest.raises(RuntimeError, match=f"state space too large at level {level}"):
         run_walk(spec)
 
 
