@@ -99,12 +99,21 @@ class VolatilityPolicy:
     Policies here choose from the level and the path positions.
     ``glattice.LatticePolicy`` is node-indexed instead: the sampler looks its
     choice up with ``sigma_index`` from the nodes' integer coordinates.
+
+    ``schedule(n_steps)`` returns the (n_steps,) row of per-level variance
+    rates, or None (the default).  A policy that returns a row promises that
+    ``sigma_sq(level, positions)`` ignores ``positions`` and equals
+    ``schedule(n_steps)[level]`` at every node, which lets the sampler draw
+    its paths without a per-step loop.
     """
 
     name = "policy"
 
     def sigma_sq(self, level: int, positions: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def schedule(self, n_steps: int) -> np.ndarray | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,23 @@ class ConstantPolicy(VolatilityPolicy):
 
     def sigma_sq(self, level, positions):
         return np.full(np.shape(positions), self.value)
+
+    def schedule(self, n_steps):
+        return np.full(n_steps, self.value)
+
+
+@dataclass(frozen=True)
+class _LevelPolicy(VolatilityPolicy):
+    """Variance rate ``rate(level)`` at every node of a level."""
+
+    rate: Callable[[int], float]
+    name: str = "level"
+
+    def sigma_sq(self, level, positions):
+        return np.full(np.shape(positions), self.rate(level))
+
+    def schedule(self, n_steps):
+        return np.array([self.rate(k) for k in range(n_steps)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -156,23 +182,13 @@ def default_scenario_family(params: GParams) -> ScenarioFamily:
     """Extreme constants, the midpoint constant, and a step-alternating policy."""
     lo, hi = params.sigma_lower_sq, params.sigma_upper_sq
 
-    def alternate(level, positions, lo=lo, hi=hi):
-        v = hi if int(level) % 2 == 0 else lo
-        return np.full(np.shape(positions), v)
+    def alternate(level, lo=lo, hi=hi):
+        return hi if int(level) % 2 == 0 else lo
 
     scenarios = [
         ConstantPolicy(hi, name="const-max"),
         ConstantPolicy(lo, name="const-min"),
         ConstantPolicy(0.5 * (lo + hi), name="const-mid"),
-        _FnPolicy(alternate, "alternating"),
+        _LevelPolicy(alternate, "alternating"),
     ]
     return ScenarioFamily(params=params, scenarios=tuple(scenarios))
-
-
-@dataclass(frozen=True)
-class _FnPolicy(VolatilityPolicy):
-    fn: Callable
-    name: str = "fn"
-
-    def sigma_sq(self, level, positions):
-        return self.fn(level, positions)

@@ -575,6 +575,12 @@ class PathEnsemble:
         return out
 
 
+def _outside_band(s2: np.ndarray, params: GParams) -> np.ndarray:
+    """Rates outside the band, NaN included."""
+    lo, hi = params.sigma_lower_sq - 1e-12, params.sigma_upper_sq + 1e-12
+    return ~((s2 >= lo) & (s2 <= hi))
+
+
 def sample_paths(
     lat: Lattice,
     policy: VolatilityPolicy,
@@ -587,49 +593,21 @@ def sample_paths(
     ``track_coords`` records the exact integer node coordinates (net counts
     per volatility) in ``coords``, which is None otherwise; it requires every
     chosen variance rate to lie on the lattice's volatility grid.
+
+    Two samplers give the same bits.  When ``track_coords`` is off and the
+    policy gives a ``schedule``, the steps are one broadcast product and ``B``
+    is their running sum along each path.  Otherwise (a node-indexed
+    ``LatticePolicy``, a policy without a schedule, or ``track_coords``) a
+    loop asks the policy for each level's rates at the paths' current nodes.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    n = lat.n_steps
-    dt = lat.dt
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(n_paths, n)).astype(np.int64) * 2 - 1
-    B = np.zeros((n_paths, n + 1))
-    sig = np.empty((n_paths, n))
-    grid = np.asarray(lat.sigma_grid)
-    lo, hi = lat.params.sigma_lower_sq, lat.params.sigma_upper_sq
-
-    is_lat = isinstance(policy, LatticePolicy)
-    coords = None
-    if track_coords:
-        coords = np.zeros((n_paths, n + 1, lat.n_sigma), dtype=np.int64)
-    seg_coords = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)] if is_lat else None
-    rows = np.arange(n_paths)
-
-    for k in range(n):
-        if is_lat:
-            sidx = np.asarray(policy.sigma_index(k, seg_coords), dtype=np.int64)
-            s2 = grid[sidx]
-        else:
-            s2 = np.asarray(policy.sigma_sq(k, B[:, k]), dtype=float)
-            s2 = np.broadcast_to(s2, (n_paths,))
-            if np.any(s2 < lo - 1e-12) or np.any(s2 > hi + 1e-12):
-                raise ValueError(f"policy value outside the band at step {k}")
-            if track_coords:
-                sidx = np.argmin(np.abs(grid[:, None] - s2), axis=0)
-                if np.any(np.abs(grid[sidx] - s2) > 1e-12):
-                    raise ValueError(
-                        "track_coords requires grid-aligned volatility choices"
-                    )
-        sig[:, k] = s2
-        B[:, k + 1] = B[:, k] + signs[:, k] * np.sqrt(s2 * dt)
-        if track_coords:
-            coords[:, k + 1] = coords[:, k]
-            coords[rows, k + 1, sidx] += signs[:, k]
-        if is_lat:
-            seg_coords[-1][rows, sidx] += signs[:, k]
-            if (k + 1) in policy.anchors and (k + 1) < n:
-                seg_coords.append(np.zeros((n_paths, lat.n_sigma), dtype=np.int64))
+    schedule = None if track_coords else policy.schedule(lat.n_steps)
+    if schedule is not None:
+        B, sig = _sample_scheduled(lat, schedule, n_paths, seed)
+        coords = None
+    else:
+        B, sig, coords = _sample_stepwise(lat, policy, n_paths, seed, track_coords)
 
     name = getattr(policy, "name", "policy")
     return PathEnsemble(
@@ -640,6 +618,89 @@ def sample_paths(
         sigma_sq=sig,
         coords=coords,
     )
+
+
+def _signs(n_paths: int, n: int, seed: int) -> np.ndarray:
+    """The seed's +-1 step signs, (n_paths, n) int8."""
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, size=(n_paths, n)).astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
+def _sample_scheduled(lat: Lattice, schedule, n_paths: int, seed: int):
+    """B and sigma_sq for a policy whose rates depend on the level alone."""
+    n = lat.n_steps
+    s2 = np.asarray(schedule, dtype=float)
+    if s2.shape != (n,):
+        raise ValueError(f"policy schedule has shape {s2.shape}, need ({n},)")
+    bad = np.flatnonzero(_outside_band(s2, lat.params))
+    if bad.size:
+        raise ValueError(f"policy value outside the band at step {bad[0]}")
+    B = np.zeros((n_paths, n + 1))
+    np.multiply(_signs(n_paths, n, seed), np.sqrt(s2 * lat.dt), out=B[:, 1:])
+    # accumulate adds left to right from B[:, 0] = 0, as the loop does
+    np.cumsum(B, axis=1, out=B)
+    sig = np.empty((n_paths, n))
+    sig[:] = s2
+    return B, sig
+
+
+def _sample_stepwise(lat: Lattice, policy, n_paths: int, seed: int,
+                     track_coords: bool):
+    """B, sigma_sq and coords, one level at a time.
+
+    The signs, B and sigma_sq are held level-major, so each step reads and
+    writes contiguous rows; each buffer is freed as soon as its path-major
+    transpose is written, which keeps the peak at three full arrays.
+    ``coords`` keeps its path-major layout, since a transposed copy would
+    double the largest buffer.
+    """
+    n, dt = lat.n_steps, lat.dt
+    signs_t = np.ascontiguousarray(_signs(n_paths, n, seed).T)
+    grid = np.asarray(lat.sigma_grid)
+    B_t = np.zeros((n + 1, n_paths))
+    sig_t = np.empty((n, n_paths))
+
+    is_lat = isinstance(policy, LatticePolicy)
+    coords = None
+    if track_coords:
+        coords = np.zeros((n_paths, n + 1, lat.n_sigma), dtype=np.int64)
+    seg_coords = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)] if is_lat else None
+    rows = np.arange(n_paths)
+    flat_rows = rows * lat.n_sigma
+
+    for k in range(n):
+        if is_lat:
+            sidx = np.asarray(policy.sigma_index(k, seg_coords), dtype=np.int64)
+            s2 = grid[sidx]
+        else:
+            s2 = np.asarray(policy.sigma_sq(k, B_t[k]), dtype=float)
+            s2 = np.broadcast_to(s2, (n_paths,))
+            if np.any(_outside_band(s2, lat.params)):
+                raise ValueError(f"policy value outside the band at step {k}")
+            if track_coords:
+                sidx = np.argmin(np.abs(grid[:, None] - s2), axis=0)
+                if np.any(np.abs(grid[sidx] - s2) > 1e-12):
+                    raise ValueError(
+                        "track_coords requires grid-aligned volatility choices"
+                    )
+        sig_t[k] = s2
+        np.add(B_t[k], signs_t[k] * np.sqrt(s2 * dt), out=B_t[k + 1])
+        if track_coords:
+            coords[:, k + 1] = coords[:, k]
+            coords[rows, k + 1, sidx] += signs_t[k]
+        if is_lat:
+            # one flat gather-scatter costs a third of a (rows, sidx) one
+            seg_coords[-1].reshape(-1)[flat_rows + sidx] += signs_t[k]
+            if (k + 1) in policy.anchors and (k + 1) < n:
+                seg_coords.append(np.zeros((n_paths, lat.n_sigma), dtype=np.int64))
+
+    del signs_t, seg_coords
+    B = np.ascontiguousarray(B_t.T)
+    del B_t
+    return B, np.ascontiguousarray(sig_t.T), coords
 
 
 def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:

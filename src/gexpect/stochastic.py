@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+_BLOCK = 16  # levels per block in StepProcess.values_on: 128 bytes per path
+
+
 @dataclass(frozen=True)
 class StepProcess:
     """Piecewise-constant integrand: value on [l_j, l_{j+1}) fixed at level l_j.
@@ -68,21 +71,39 @@ class StepProcess:
         return cls(tuple(range(n_steps)), (fn,) * n_steps, name=name)
 
     def values_on(self, ens: PathEnsemble) -> np.ndarray:
-        """Per-step integrand values, shape (n_paths, n_steps)."""
+        """Per-step integrand values, shape (n_paths, n_steps).
+
+        For a deterministic process this is ``level_values`` broadcast over
+        the paths: a read-only view, so copy it before writing to it.
+        """
         n = ens.lattice.n_steps
+        if not self.is_adapted:
+            return np.broadcast_to(self.level_values(n), (ens.n_paths, n))
         out = np.empty((ens.n_paths, n))
         bp = self.breakpoints + (n,)
-        for j, v in enumerate(self.interval_values):
-            a, b = bp[j], min(bp[j + 1], n)
-            if a >= b:
-                continue
-            col = v(ens.B[:, a]) if callable(v) else float(v)
-            out[:, a:b] = np.asarray(col).reshape(-1, 1) if callable(v) else col
+        # fill a few levels at a time as contiguous rows and transpose the
+        # block into ``out``, rather than write one strided column per level
+        block = np.empty((_BLOCK, ens.n_paths))
+        j, row = -1, None
+        for k0 in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - k0)
+            for i in range(m):
+                if k0 + i == bp[j + 1]:
+                    j += 1
+                    v = self.interval_values[j]
+                    row = v(ens.B[:, k0 + i]) if callable(v) else float(v)
+                block[i] = row
+            out[:, k0:k0 + m] = block[:m].T
         return out
+
+    @property
+    def is_adapted(self) -> bool:
+        """True when some interval value is a callable of the path."""
+        return any(callable(v) for v in self.interval_values)
 
     def level_values(self, n_steps: int) -> np.ndarray:
         """Per-step values for deterministic processes; error if adapted."""
-        if any(callable(v) for v in self.interval_values):
+        if self.is_adapted:
             raise ValueError("adapted step process has no deterministic values")
         out = np.empty(n_steps)
         bp = self.breakpoints + (n_steps,)
@@ -91,6 +112,15 @@ class StepProcess:
             if a < b:
                 out[a:b] = float(v)
         return out
+
+
+def _step_values(eta: StepProcess, ens: PathEnsemble) -> np.ndarray:
+    """``eta.values_on(ens)``, or only its (n,) level row when ``eta`` is
+    deterministic, so that per-step arithmetic runs on one row; either
+    broadcasts against (n_paths, n)."""
+    if eta.is_adapted:
+        return eta.values_on(ens)
+    return eta.level_values(ens.lattice.n_steps)
 
 
 def _check_alignment(eta: StepProcess, n_steps: int) -> None:
@@ -110,9 +140,10 @@ def ito_integral(
     if M.shape[1] != n + 1:
         raise ValueError("process grid does not match the lattice")
     _check_alignment(eta, n)
-    vals = eta.values_on(ens)
+    inc = np.diff(M, axis=1)
+    inc *= _step_values(eta, ens)
     out = np.zeros_like(M)
-    np.cumsum(vals * np.diff(M, axis=1), axis=1, out=out[:, 1:])
+    np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
 
 
@@ -152,9 +183,9 @@ def integrate_qv(
     if np.any(dA < -1e-12):
         raise ValueError("integrator must be nondecreasing per path")
     _check_alignment(eta, n)
-    vals = eta.values_on(ens)
+    dA *= _step_values(eta, ens)
     out = np.zeros_like(A)
-    np.cumsum(vals * dA, axis=1, out=out[:, 1:])
+    np.cumsum(dA, axis=1, out=out[:, 1:])
     return out
 
 
@@ -174,7 +205,7 @@ def mg_norm(
     best = -np.inf
     for ens in ensembles:
         A = ens.qv if A_of is None else A_of(ens)
-        vals = np.abs(eta.values_on(ens)) ** p
+        vals = np.abs(_step_values(eta, ens)) ** p
         total = np.sum(vals * np.diff(A, axis=1), axis=1)
         best = max(best, float(np.mean(total)))
     if best < -1e-12:
@@ -196,16 +227,16 @@ def g_compensated(
 
     params = params if params is not None else ens.lattice.params
     n = ens.lattice.n_steps
-    if A is None:
-        A = np.broadcast_to(ens.times, ens.B.shape)
-    dA = np.diff(A, axis=1)
+    # the default clock's increments are one (n,) row shared by every path
+    dA = np.diff(ens.times) if A is None else np.diff(A, axis=1)
     dqv = ens.d_qv
     bad = dqv > dA + 1e-12
     if np.any(bad):
         step = int(np.argwhere(bad)[0][1])
         raise ValueError(f"dominance contract d<M> <= dA violated at step {step}")
-    vals = f.values_on(ens)
-    inc = vals * dqv - 2.0 * g_eval(vals, params) * dA
+    vals = _step_values(f, ens)
+    inc = vals * dqv
+    inc -= 2.0 * g_eval(vals, params) * dA
     out = np.zeros_like(ens.B)
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out

@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gexpect import glattice
-from gexpect.gcore import ConstantPolicy, GParams
+from gexpect.gcore import (
+    ConstantPolicy,
+    GParams,
+    VolatilityPolicy,
+    default_scenario_family,
+)
 from gexpect.glattice import (
     CylinderFunctional,
     Lattice,
@@ -376,6 +381,70 @@ def test_lattice_policy_ensemble_keeps_coords_only_on_request():
     assert len(np.unique(plain.sigma_sq)) == 2  # the policy switches
     sv = np.asarray(lat.sigma_values) * math.sqrt(lat.dt)
     np.testing.assert_allclose(tracked.coords @ sv, tracked.B, atol=1e-12)
+
+
+class _Stepwise(VolatilityPolicy):
+    """Forwards ``sigma_sq`` and gives no schedule, so the sampler loops."""
+
+    def __init__(self, policy):
+        self.policy, self.name = policy, policy.name
+
+    def sigma_sq(self, level, positions):
+        return self.policy.sigma_sq(level, positions)
+
+
+@pytest.mark.parametrize("params, refinement", [
+    (PARAMS, 0), (PARAMS, 1), (GParams(sigma_lower_sq=0.0, sigma_upper_sq=1.0), 0),
+], ids=["default", "refined", "zero-lower"])
+def test_scheduled_sampler_matches_the_loop(params, refinement):
+    lat = build_lattice(1.0, 37, params, sigma_refinement=refinement)
+    for i, pol in enumerate(default_scenario_family(params)):
+        assert pol.schedule(lat.n_steps) is not None
+        fast = sample_paths(lat, pol, 1000, seed=40 + i)
+        loop = sample_paths(lat, _Stepwise(pol), 1000, seed=40 + i)
+        for a, b in ((fast.B, loop.B), (fast.sigma_sq, loop.sigma_sq)):
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()  # signed zeros too
+            assert a.flags.c_contiguous and a.flags.writeable
+        assert fast.coords is None and fast.policy_name == pol.name
+
+
+class _LeavesBandAtThree(VolatilityPolicy):
+    name = "leaves-band"
+
+    @staticmethod
+    def rate(level):
+        return 1.5 if level == 3 or level >= 5 else 0.5
+
+    def sigma_sq(self, level, positions):
+        return np.full(np.shape(positions), self.rate(level))
+
+    def schedule(self, n_steps):
+        return np.array([self.rate(k) for k in range(n_steps)])
+
+
+def test_schedule_leaving_the_band_names_its_first_step():
+    lat = build_lattice(1.0, 8, PARAMS)
+    for pol in (_LeavesBandAtThree(), _Stepwise(_LeavesBandAtThree())):
+        with pytest.raises(ValueError, match="band at step 3$"):
+            sample_paths(lat, pol, 10, seed=0)
+
+
+def test_nan_policy_value_rejected():
+    lat = build_lattice(1.0, 5, PARAMS)
+    for pol in (ConstantPolicy(math.nan), _Stepwise(ConstantPolicy(math.nan))):
+        with pytest.raises(ValueError, match="band at step 0$"):
+            sample_paths(lat, pol, 10, seed=0)
+
+
+def test_schedule_of_the_wrong_length_rejected():
+    class Short(ConstantPolicy):
+        def schedule(self, n_steps):
+            return np.full(n_steps - 1, self.value)
+
+    lat = build_lattice(1.0, 8, PARAMS)
+    with pytest.raises(ValueError, match="shape"):
+        sample_paths(lat, Short(1.0), 10, seed=0)
 
 
 def test_eval_tables_on_paths_reconstructs_terminal_payoff():

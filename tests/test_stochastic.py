@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gexpect.gcore import ConstantPolicy, GParams, default_scenario_family
-from gexpect.glattice import build_lattice, sample_paths
+from gexpect.glattice import (
+    CylinderFunctional,
+    build_lattice,
+    extract_worst_policy,
+    sample_paths,
+)
+from gexpect.payoff import parse
 from gexpect.stochastic import (
     StepProcess,
     g_compensated,
@@ -111,3 +118,68 @@ def test_g_compensated_dominance_guard():
     A = np.broadcast_to(0.5 * ENS.times, ENS.B.shape)
     with pytest.raises(ValueError, match="dominance"):
         g_compensated(StepProcess.constant(1.0), ENS, PARAMS, A=A)
+
+
+def _column_fill(eta, ens):
+    """Reference values: one column per level, each from its interval's
+    value at the interval's left endpoint."""
+    n = ens.lattice.n_steps
+    out = np.empty((ens.n_paths, n))
+    for k in range(n):
+        j = max(i for i, b in enumerate(eta.breakpoints) if b <= k)
+        v, a = eta.interval_values[j], eta.breakpoints[j]
+        out[:, k] = v(ens.B[:, a]) if callable(v) else float(v)
+    return out
+
+
+def test_values_on_matches_a_column_fill():
+    ens = sample_paths(LAT, default_scenario_family(PARAMS).by_name("alternating"),
+                       300, seed=9)
+    cases = [
+        (StepProcess.constant(-1.5), False),
+        (StepProcess.indicator(10, 30), False),
+        (StepProcess.adapted(np.cos, 50), True),
+        (StepProcess((0, 7), (2.0, lambda x: x ** 3)), True),  # spans blocks
+        (StepProcess((0, 20, 45), (np.abs, 3.0, lambda x: x)), True),
+        (StepProcess((0, 10, 60), (1.0, np.sin, 2.0)), True),  # past the horizon
+    ]
+    for eta, adapted in cases:
+        vals = eta.values_on(ens)
+        assert eta.is_adapted == adapted
+        assert vals.shape == (ens.n_paths, 50)
+        assert np.array_equal(vals, _column_fill(eta, ens)), eta.name
+        # deterministic values are a read-only broadcast of the level row
+        assert vals.flags.writeable == adapted
+
+
+def test_g_compensated_default_clock_matches_an_explicit_clock():
+    clock = np.broadcast_to(ENS_MIN.times, ENS_MIN.B.shape)
+    for f in (StepProcess.constant(-0.75), StepProcess.indicator(5, 20),
+              StepProcess.adapted(lambda x: x, 50, name="B")):
+        a = g_compensated(f, ENS_MIN, PARAMS)
+        b = g_compensated(f, ENS_MIN, PARAMS, A=clock)
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def _peak(fn):
+    """Largest traced allocation total while ``fn`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_and_values_on_stay_within_their_memory():
+    n_paths, n = 20_000, 100
+    lat = build_lattice(1.0, n, PARAMS)
+    full = n_paths * (n + 1) * 8  # one (n_paths, n + 1) float64 array
+    fam = default_scenario_family(PARAMS)
+    worst = extract_worst_policy(lat, CylinderFunctional((n,), parse("abs(x1)")))
+    for pol in (fam.by_name("const-max"), fam.by_name("alternating"), worst):
+        peak = _peak(lambda: sample_paths(lat, pol, n_paths, seed=1))
+        assert peak <= 3.1 * full, (pol.name, peak / full)
+    ens = sample_paths(lat, fam.by_name("const-max"), n_paths, seed=2)
+    eta = StepProcess.adapted(lambda x: x, n, name="B")
+    assert _peak(lambda: eta.values_on(ens)) <= 1.35 * full
