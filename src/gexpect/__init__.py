@@ -12,7 +12,6 @@ from .gcore import (
     capacity_estimate,
     default_scenario_family,
     g_eval,
-    sublinear_expect,
 )
 from .gheat import Grid1D, GridFunction, gnormal_expect, make_grid, solve_gheat
 from .glattice import (
@@ -32,7 +31,6 @@ from .payoff import LipschitzCertificate, check_lip_poly, eval_expr, parse, to_s
 from .stochastic import (
     StepProcess,
     g_compensated,
-    integrate_qv,
     ito_integral,
     mg_norm,
     quadratic_variation,

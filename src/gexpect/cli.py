@@ -2,6 +2,9 @@
 
 Commands: expect, conditional, simulate, verify, report.
 Exit codes: 0 success, 1 check failures, 2 usage error, 3 numeric error.
+A value the caller chose (a flag, a config entry, a payoff the backend cannot
+take) that is invalid is a usage error; a failure in computing from valid
+inputs (a division by zero in the payoff) is a numeric error.
 Any other exception is a bug and propagates with its traceback.
 Precedence: command-line flags > config file > built-in defaults.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,17 +48,34 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg.with_overrides(
-        seed=args.seed,
-        sigma_lower_sq=args.sigma0_sq,
-        n_steps=args.n_steps,
-        n_paths=args.n_paths,
-        out_dir=args.out,
-        nx=args.nx,
-        cfl_safety=args.cfl_safety,
-        digits=args.digits,
-    )
+    """The config file and flags over the defaults; an unreadable file or an
+    invalid value in either, the volatility band included, is a usage
+    error."""
+    try:
+        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = cfg.with_overrides(
+            seed=args.seed,
+            sigma_lower_sq=args.sigma0_sq,
+            n_steps=args.n_steps,
+            n_paths=args.n_paths,
+            out_dir=args.out,
+            nx=args.nx,
+            cfl_safety=args.cfl_safety,
+            digits=args.digits,
+        )
+        cfg.params  # build the band now, so that it fails here
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
+
+
+def _horizon(args) -> float:
+    """--t: finite and positive; ``expect --backend pde`` also takes 0."""
+    pde = getattr(args, "backend", None) == "pde"
+    if not (math.isfinite(args.t) and (args.t >= 0 if pde else args.t > 0)):
+        raise UsageError(f"--t must be finite and {'>= 0' if pde else 'positive'}, "
+                         f"got {args.t}")
+    return args.t
 
 
 def _fmt(cfg: RunConfig, x: float) -> str:
@@ -85,18 +106,19 @@ def _parse_levels(cfg: RunConfig, times: str | None, phi):
 
 def cmd_expect(args) -> int:
     cfg = _build_config(args)
+    t = _horizon(args)
     phi = parse(args.phi)
+    levels = _parse_levels(cfg, args.times, phi)  # checked on every backend
     values = {}
     if args.backend in ("lattice", "both"):
-        lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
-        levels = _parse_levels(cfg, args.times, phi)
+        lat = build_lattice(t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
         X = CylinderFunctional(levels, phi, mode=args.mode)
         values["lattice"] = lattice_expect(lat, X)
     if args.backend in ("pde", "both"):
         if arity(phi) > 1:
-            raise ValueError("the PDE backend handles single-variable payoffs")
+            raise UsageError("the PDE backend handles single-variable payoffs")
         values["pde"] = gnormal_expect(
-            phi, args.t, cfg.params, nx=cfg.nx, cfl_safety=cfg.cfl_safety
+            phi, t, cfg.params, nx=cfg.nx, cfl_safety=cfg.cfl_safety
         )
     for k in ("lattice", "pde"):
         if k in values:
@@ -117,7 +139,7 @@ def cmd_expect(args) -> int:
 def cmd_conditional(args) -> int:
     cfg = _build_config(args)
     phi = parse(args.phi)
-    lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
+    lat = build_lattice(_horizon(args), cfg.n_steps, cfg.params, cfg.sigma_refinement)
     levels = _parse_levels(cfg, args.times, phi)
     X = CylinderFunctional(levels, phi, mode=args.mode)
     if not 0 <= args.j <= X.levels[-1]:
@@ -144,7 +166,7 @@ def cmd_conditional(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    lat = build_lattice(args.t, cfg.n_steps, cfg.params, cfg.sigma_refinement)
+    lat = build_lattice(_horizon(args), cfg.n_steps, cfg.params, cfg.sigma_refinement)
     if args.policy.startswith("worst:"):
         phi = parse(args.policy[len("worst:"):])
         X = CylinderFunctional((cfg.n_steps,), phi)

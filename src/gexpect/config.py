@@ -32,6 +32,10 @@ class RunConfig:
             raise ValueError("need nx >= 3")
         if self.sigma_refinement < 0:
             raise ValueError("sigma_refinement must be >= 0")
+        if not self.cfl_safety >= 1:  # the explicit PDE march is unstable below 1
+            raise ValueError("cfl_safety must be >= 1")
+        if self.digits < 1:
+            raise ValueError("digits must be >= 1")
 
     @property
     def params(self) -> GParams:
@@ -52,6 +56,8 @@ def _parse_value(name: str, text: str):
     if name in ("n_steps", "nx", "n_paths", "seed", "sigma_refinement", "digits"):
         return int(text)
     if name == "timing":
+        if text.lower() not in _BOOL:
+            raise ValueError(f"expected true or false, got {text!r}")
         return _BOOL[text.lower()]
     if name == "out_dir":
         return text
@@ -72,12 +78,15 @@ def load_config(path: str) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key.startswith("tol."):
-                tol[key[4:]] = float(val)
-            elif key in known:
-                values[key] = _parse_value(key, val)
-            else:
+            if not (key.startswith("tol.") or key in known):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                if key.startswith("tol."):
+                    tol[key[4:]] = float(val)
+                else:
+                    values[key] = _parse_value(key, val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return RunConfig(tol=tol, **values)
 
 

@@ -32,7 +32,7 @@ the smallest volatility.  Callers derive a problem from a builder's spec with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "qv_coord_walk",
     "weighted_coord_walk",
     "adapted_abs_walk",
-    "reward_expect",
 ]
 
 # Dedup with an occupancy table when the packed key box holds at most this
@@ -385,17 +384,3 @@ def adapted_abs_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
         terminal=lambda s: decode(s)[1],
         decode=decode,
     )
-
-
-def reward_expect(lat: Lattice, reward, state_spec: WalkSpec | None = None,
-                  stop_levels=()) -> WalkResult:
-    """Upper expectation of an additive path functional sum_k r(k, state, sigma^2).
-
-    With no state dependence this is a scalar recursion on a walk with one
-    state per level; otherwise the reward rides on the supplied walk's states.
-    """
-    if state_spec is None:
-        state_spec = coord_walk(lat, active=np.zeros(lat.n_steps, dtype=bool))
-    spec = replace(state_spec, terminal=lambda s: np.zeros(s.shape[0]),
-                   reward=reward)
-    return run_walk(spec, stop_levels=stop_levels)

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "GParams",
     "g_eval",
-    "sublinear_expect",
     "capacity_estimate",
     "UsageError",
     "VolatilityPolicy",
@@ -60,17 +59,6 @@ def g_eval(alpha, params: GParams):
     return out
 
 
-def sublinear_expect(values: Sequence[float]) -> float:
-    """Max of per-scenario expectations (the upper expectation).
-
-    The lower expectation is recovered as -sublinear_expect(-X values).
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("empty scenario family")
-    return float(np.max(vals))
-
-
 def capacity_estimate(prob_per_scenario: Sequence[float]) -> float:
     """Sup over scenarios of the per-scenario probability of an event."""
     probs = np.asarray(prob_per_scenario, dtype=float)
@@ -94,35 +82,25 @@ class UsageError(KeyError):
 
 
 class VolatilityPolicy:
-    """Per-step choice of variance rate sigma^2(level, node).
+    """Per-level choice of variance rate.
 
-    Policies here choose from the level and the path positions.
-    ``glattice.LatticePolicy`` is node-indexed instead: the sampler looks its
-    choice up with ``sigma_index`` from the nodes' integer coordinates.
-
-    ``schedule(n_steps)`` returns the (n_steps,) row of per-level variance
-    rates, or None (the default).  A policy that returns a row promises that
-    ``sigma_sq(level, positions)`` ignores ``positions`` and equals
-    ``schedule(n_steps)[level]`` at every node, which lets the sampler draw
-    its paths without a per-step loop.
+    A policy gives ``schedule(n_steps)``, the (n_steps,) row of its variance
+    rates, one per level, the same at every node of a level.  The one policy
+    that reads the path, ``glattice.LatticePolicy``, is node-indexed instead:
+    the sampler looks its choice up with ``sigma_index`` from the paths'
+    nodes.
     """
 
     name = "policy"
 
-    def sigma_sq(self, level: int, positions: np.ndarray) -> np.ndarray:
+    def schedule(self, n_steps: int) -> np.ndarray:
         raise NotImplementedError
-
-    def schedule(self, n_steps: int) -> np.ndarray | None:
-        return None
 
 
 @dataclass(frozen=True)
 class ConstantPolicy(VolatilityPolicy):
     value: float
     name: str = "const"
-
-    def sigma_sq(self, level, positions):
-        return np.full(np.shape(positions), self.value)
 
     def schedule(self, n_steps):
         return np.full(n_steps, self.value)
@@ -134,9 +112,6 @@ class _LevelPolicy(VolatilityPolicy):
 
     rate: Callable[[int], float]
     name: str = "level"
-
-    def sigma_sq(self, level, positions):
-        return np.full(np.shape(positions), self.rate(level))
 
     def schedule(self, n_steps):
         return np.array([self.rate(k) for k in range(n_steps)], dtype=float)

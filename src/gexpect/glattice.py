@@ -61,7 +61,6 @@ __all__ = [
     "sample_paths",
     "eval_tables_on_paths",
     "ensemble_to_csv",
-    "policy_to_csv",
 ]
 
 # Guard against runaway state spaces: the bytes a sweep may hold at once.
@@ -184,12 +183,6 @@ class Lattice:
     def count_basis(self) -> NodeBasis:
         """Net counts per volatility: exact on every grid."""
         return _count_basis(self.sigma_values)
-
-    def level_of_time(self, t: float) -> int:
-        k = t / self.dt
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"time {t} is not a lattice level")
-        return int(round(k))
 
 
 def build_lattice(
@@ -554,7 +547,6 @@ class PathEnsemble:
     seed: int
     B: np.ndarray  # (n_paths, n_steps + 1)
     sigma_sq: np.ndarray  # (n_paths, n_steps)
-    coords: np.ndarray | None = None  # (n_paths, n_steps + 1, n_sigma) net counts
 
     @property
     def n_paths(self) -> int:
@@ -575,48 +567,25 @@ class PathEnsemble:
         return out
 
 
-def _outside_band(s2: np.ndarray, params: GParams) -> np.ndarray:
-    """Rates outside the band, NaN included."""
-    lo, hi = params.sigma_lower_sq - 1e-12, params.sigma_upper_sq + 1e-12
-    return ~((s2 >= lo) & (s2 <= hi))
-
-
 def sample_paths(
-    lat: Lattice,
-    policy: VolatilityPolicy,
-    n_paths: int,
-    seed: int,
-    track_coords: bool = False,
+    lat: Lattice, policy: VolatilityPolicy, n_paths: int, seed: int
 ) -> PathEnsemble:
     """Draw +-sigma*sqrt(dt) steps with probability 1/2 each, reproducibly.
 
-    ``track_coords`` records the exact integer node coordinates (net counts
-    per volatility) in ``coords``, which is None otherwise; it requires every
-    chosen variance rate to lie on the lattice's volatility grid.
-
-    Two samplers give the same bits.  When ``track_coords`` is off and the
-    policy gives a ``schedule``, the steps are one broadcast product and ``B``
-    is their running sum along each path.  Otherwise (a node-indexed
-    ``LatticePolicy``, a policy without a schedule, or ``track_coords``) a
-    loop asks the policy for each level's rates at the paths' current nodes.
+    Two samplers give the bits of one per-step loop.  A node-indexed
+    ``LatticePolicy`` is sampled level by level, each path's choice looked up
+    at its current node.  Every other policy gives its rates as a
+    ``schedule``: the steps are one broadcast product and ``B`` is their
+    running sum along each path.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    schedule = None if track_coords else policy.schedule(lat.n_steps)
-    if schedule is not None:
-        B, sig = _sample_scheduled(lat, schedule, n_paths, seed)
-        coords = None
+    if isinstance(policy, LatticePolicy):
+        B, sig = _sample_stepwise(lat, policy, n_paths, seed)
     else:
-        B, sig, coords = _sample_stepwise(lat, policy, n_paths, seed, track_coords)
-
-    name = getattr(policy, "name", "policy")
+        B, sig = _sample_scheduled(lat, policy.schedule(lat.n_steps), n_paths, seed)
     return PathEnsemble(
-        lattice=lat,
-        policy_name=name,
-        seed=seed,
-        B=B,
-        sigma_sq=sig,
-        coords=coords,
+        lattice=lat, policy_name=policy.name, seed=seed, B=B, sigma_sq=sig
     )
 
 
@@ -635,7 +604,8 @@ def _sample_scheduled(lat: Lattice, schedule, n_paths: int, seed: int):
     s2 = np.asarray(schedule, dtype=float)
     if s2.shape != (n,):
         raise ValueError(f"policy schedule has shape {s2.shape}, need ({n},)")
-    bad = np.flatnonzero(_outside_band(s2, lat.params))
+    lo, hi = lat.params.sigma_lower_sq - 1e-12, lat.params.sigma_upper_sq + 1e-12
+    bad = np.flatnonzero(~((s2 >= lo) & (s2 <= hi)))  # NaN included
     if bad.size:
         raise ValueError(f"policy value outside the band at step {bad[0]}")
     B = np.zeros((n_paths, n + 1))
@@ -647,77 +617,68 @@ def _sample_scheduled(lat: Lattice, schedule, n_paths: int, seed: int):
     return B, sig
 
 
-def _sample_stepwise(lat: Lattice, policy, n_paths: int, seed: int,
-                     track_coords: bool):
-    """B, sigma_sq and coords, one level at a time.
+def _sample_stepwise(lat: Lattice, policy: LatticePolicy, n_paths: int,
+                     seed: int):
+    """B and sigma_sq under a node-indexed policy, one level at a time.
 
     The signs, B and sigma_sq are held level-major, so each step reads and
     writes contiguous rows; each buffer is freed as soon as its path-major
     transpose is written, which keeps the peak at three full arrays.
-    ``coords`` keeps its path-major layout, since a transposed copy would
-    double the largest buffer.
     """
     n, dt = lat.n_steps, lat.dt
     signs_t = np.ascontiguousarray(_signs(n_paths, n, seed).T)
     grid = np.asarray(lat.sigma_grid)
     B_t = np.zeros((n + 1, n_paths))
     sig_t = np.empty((n, n_paths))
-
-    is_lat = isinstance(policy, LatticePolicy)
-    coords = None
-    if track_coords:
-        coords = np.zeros((n_paths, n + 1, lat.n_sigma), dtype=np.int64)
-    seg_coords = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)] if is_lat else None
-    rows = np.arange(n_paths)
-    flat_rows = rows * lat.n_sigma
+    seg_counts = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)]
+    flat_rows = np.arange(n_paths) * lat.n_sigma
 
     for k in range(n):
-        if is_lat:
-            sidx = np.asarray(policy.sigma_index(k, seg_coords), dtype=np.int64)
-            s2 = grid[sidx]
-        else:
-            s2 = np.asarray(policy.sigma_sq(k, B_t[k]), dtype=float)
-            s2 = np.broadcast_to(s2, (n_paths,))
-            if np.any(_outside_band(s2, lat.params)):
-                raise ValueError(f"policy value outside the band at step {k}")
-            if track_coords:
-                sidx = np.argmin(np.abs(grid[:, None] - s2), axis=0)
-                if np.any(np.abs(grid[sidx] - s2) > 1e-12):
-                    raise ValueError(
-                        "track_coords requires grid-aligned volatility choices"
-                    )
+        sidx = np.asarray(policy.sigma_index(k, seg_counts), dtype=np.int64)
+        s2 = grid[sidx]
         sig_t[k] = s2
         np.add(B_t[k], signs_t[k] * np.sqrt(s2 * dt), out=B_t[k + 1])
-        if track_coords:
-            coords[:, k + 1] = coords[:, k]
-            coords[rows, k + 1, sidx] += signs_t[k]
-        if is_lat:
-            # one flat gather-scatter costs a third of a (rows, sidx) one
-            seg_coords[-1].reshape(-1)[flat_rows + sidx] += signs_t[k]
-            if (k + 1) in policy.anchors and (k + 1) < n:
-                seg_coords.append(np.zeros((n_paths, lat.n_sigma), dtype=np.int64))
+        # one flat gather-scatter costs a third of a (rows, sidx) one
+        seg_counts[-1].reshape(-1)[flat_rows + sidx] += signs_t[k]
+        if (k + 1) in policy.anchors and (k + 1) < n:
+            seg_counts.append(np.zeros((n_paths, lat.n_sigma), dtype=np.int64))
 
-    del signs_t, seg_coords
+    del signs_t, seg_counts
     B = np.ascontiguousarray(B_t.T)
     del B_t
-    return B, np.ascontiguousarray(sig_t.T), coords
+    return B, np.ascontiguousarray(sig_t.T)
 
 
 def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     """Evaluate per-level conditional tables along sampled paths.
 
-    Supports single-anchor functionals (one segment); requires the ensemble
-    to carry integer coordinates.
+    Supports single-anchor functionals (one segment).  Each path's node is
+    rebuilt level by level as net counts per volatility: the step's choice is
+    its rate's index on the lattice's volatility grid (an off-grid rate is an
+    error), and its sign is the sign of the step of ``B``.  A zero-volatility
+    step gets sign 0, which is exact: its count axis moves the position by
+    nothing, so every table is constant along it.
     """
-    if ens.coords is None:
-        raise ValueError("ensemble was sampled without coordinate tracking")
-    n = ens.lattice.n_steps
+    lat = ens.lattice
+    n = lat.n_steps
+    grid = np.asarray(lat.sigma_grid)
+    mids = 0.5 * (grid[1:] + grid[:-1])  # a rate's rank among them: nearest grid index
+    counts = np.zeros((ens.n_paths, lat.n_sigma), dtype=np.int64)
+    flat_rows = np.arange(ens.n_paths) * lat.n_sigma
     out = np.empty((ens.n_paths, n + 1))
     for k in range(n + 1):
         table = tables[k]
         if len(table.seg_lengths) > 1:
             raise ValueError("path evaluation supports single-segment tables only")
-        out[:, k] = table.at([ens.coords[:, k]])
+        out[:, k] = table.at([counts])
+        if k == n:
+            break
+        s2 = ens.sigma_sq[:, k]
+        sidx = np.searchsorted(mids, s2)
+        if not np.all(np.abs(grid[sidx] - s2) <= 1e-12):  # NaN fails too
+            raise ValueError("path evaluation requires grid-aligned volatility choices")
+        step = np.sign(ens.B[:, k + 1] - ens.B[:, k]).astype(np.int64)
+        counts.reshape(-1)[flat_rows + sidx] += step
     return out
 
 
@@ -738,16 +699,3 @@ def ensemble_to_csv(ens: PathEnsemble, path: str) -> None:
                     [p, k, repr(float(times[k])), repr(float(ens.B[p, k])), s,
                      repr(float(qv[p, k]))]
                 )
-
-
-def policy_to_csv(policy: LatticePolicy, path: str) -> None:
-    """Columns: level, node_position, sigma_sq — reachable nodes only."""
-    grid = np.asarray(policy.lattice.sigma_grid)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "node_position", "sigma_sq"])
-        for level in sorted(policy.frames):
-            table = policy.frame_table(level)
-            mask = table.valid_mask()
-            for x, j in zip(table.positions()[mask], table.values[mask]):
-                w.writerow([level, repr(float(x)), repr(float(grid[int(j)]))])

@@ -19,7 +19,6 @@ __all__ = [
     "ito_integral",
     "quadratic_variation",
     "qv_identity_gap",
-    "integrate_qv",
     "mg_norm",
     "g_compensated",
 ]
@@ -166,47 +165,21 @@ def qv_identity_gap(M: np.ndarray, ens: PathEnsemble) -> float:
     return float(np.max(np.abs(qv - recon)))
 
 
-def integrate_qv(
-    eta: StepProcess, ens: PathEnsemble, A: np.ndarray | None = None
-) -> np.ndarray:
-    """Stieltjes partial sums sum_{j<k} eta_j * (A_{j+1} - A_j).
-
-    Default integrator is the ensemble's quadratic variation; any per-path
-    nondecreasing array on the same grid is accepted.
-    """
-    if A is None:
-        A = ens.qv
-    n = ens.lattice.n_steps
-    if A.shape[1] != n + 1:
-        raise ValueError("integrator grid does not match the lattice")
-    dA = np.diff(A, axis=1)
-    if np.any(dA < -1e-12):
-        raise ValueError("integrator must be nondecreasing per path")
-    _check_alignment(eta, n)
-    dA *= _step_values(eta, ens)
-    out = np.zeros_like(A)
-    np.cumsum(dA, axis=1, out=out[:, 1:])
-    return out
-
-
 def mg_norm(
-    eta: StepProcess,
-    ensembles: Sequence[PathEnsemble],
-    p: float = 2.0,
-    A_of: Callable[[PathEnsemble], np.ndarray] | None = None,
+    eta: StepProcess, ensembles: Sequence[PathEnsemble], p: float = 2.0
 ) -> float:
-    """Scenario-max Monte Carlo estimate of (E_up[int |eta|^p dA])^(1/p).
+    """Scenario-max Monte Carlo estimate of (E_up[int |eta|^p d<B>])^(1/p).
 
-    ``A_of`` maps an ensemble to its integrator paths; default is the
-    quadratic variation.
+    Each path's integral sums |eta|^p against the ensemble's increments
+    ``d_qv`` = sigma_sq * dt of the quadratic variation.
     """
     if p < 1:
         raise ValueError("need p >= 1")
     best = -np.inf
     for ens in ensembles:
-        A = ens.qv if A_of is None else A_of(ens)
-        vals = np.abs(_step_values(eta, ens)) ** p
-        total = np.sum(vals * np.diff(A, axis=1), axis=1)
+        inc = ens.d_qv
+        inc *= np.abs(_step_values(eta, ens)) ** p
+        total = np.sum(inc, axis=1)
         best = max(best, float(np.mean(total)))
     if best < -1e-12:
         raise ValueError("norm estimate came out negative")

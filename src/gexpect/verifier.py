@@ -122,12 +122,12 @@ def _grid_aligned_scenarios(family):
     return [family.by_name(n) for n in ("const-max", "const-min", "alternating")]
 
 
-def _ensembles(lat, policies, n_paths, *seeds, **kw):
+def _ensembles(lat, policies, n_paths, *seeds):
     """One ensemble per (seed, policy), drawn lazily: the i-th policy is
     sampled with seed + i."""
     for seed in seeds:
         for i, pol in enumerate(policies):
-            yield sample_paths(lat, pol, n_paths, seed + i, **kw)
+            yield sample_paths(lat, pol, n_paths, seed + i)
 
 
 def _scenario_max(ensembles, measure):
@@ -482,8 +482,7 @@ def check_downcrossing(cfg: RunConfig):
     bound = min(x0, b) / (b - a)
     mean, se = _most_downcrossings(
         (eval_tables_on_paths(tables, ens) for ens in _ensembles(
-            lat, _grid_aligned_scenarios(family), n_paths, cfg.seed + 300,
-            track_coords=True)),
+            lat, _grid_aligned_scenarios(family), n_paths, cfg.seed + 300)),
         a, b,
     )
     reports.append(

@@ -37,7 +37,56 @@ def test_expect_csv_output(tmp_path, capsys):
 def test_expect_pde_rejects_multivariate(capsys):
     rc = main(["expect", "--phi", "x1 + x2", "--backend", "pde",
                "--times", "5,10", "--n-steps", "10"])
-    assert rc == 3
+    assert rc == 2
+    assert "single-variable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expect", "--phi", "x1*x2", "--backend", "pde"], "single-variable"),
+    (["expect", "--phi", "x1", "--n-paths", "0"], "n_paths must be positive"),
+    (["expect", "--phi", "x1", "--nx", "2"], "nx >= 3"),
+    (["expect", "--phi", "x1", "--sigma0-sq", "2"], "sigma_lower_sq <= sigma_upper_sq"),
+    (["expect", "--phi", "x1", "--cfl-safety", "0.5"], "cfl_safety must be >= 1"),
+    (["expect", "--phi", "x1", "--digits", "-3"], "digits must be >= 1"),
+    (["expect", "--phi", "x1", "--t", "-1"], "--t must be finite and positive"),
+    (["expect", "--phi", "x1", "--backend", "lattice", "--t", "0"],
+     "--t must be finite and positive"),
+    (["expect", "--phi", "x1", "--backend", "pde", "--t", "-1"],
+     "--t must be finite and >= 0"),
+    (["expect", "--phi", "x1", "--t", "inf"], "--t must be finite"),
+    (["conditional", "--phi", "x1", "--j", "0", "--t", "-1"], "--t must be"),
+    (["simulate", "--policy", "const-max", "--t", "-1"], "--t must be"),
+    (["expect", "--phi", "x1", "--backend", "pde", "--times", "abc"],
+     "--times takes integer levels"),
+], ids=["pde-multivariate", "n-paths", "nx", "band", "cfl-safety", "digits",
+        "negative-t", "zero-t-lattice", "negative-t-pde", "infinite-t",
+        "conditional-t", "simulate-t", "pde-times"])
+def test_bad_flag_values_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_pde_backend_takes_a_zero_horizon(capsys):
+    assert main(["expect", "--phi", "x1^2 + 1", "--backend", "pde", "--t", "0"]) == 0
+    assert float(capsys.readouterr().out.split("pde:")[1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x_span = 3\n", ":1: unknown key 'x_span'"),
+    ("seed = 1\ntiming = maybe\n", ":2: timing: expected true or false"),
+    ("n_steps = many\n", ":1: n_steps: invalid literal"),
+    ("n_paths = 0\n", "n_paths must be positive"),
+], ids=["unknown-key", "bad-bool", "bad-int", "invalid-value"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, text, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert main(["expect", "--phi", "x1", "--config", str(cfgfile)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    assert main(["expect", "--phi", "x1", "--config", str(tmp_path / "no.cfg")]) == 2
+    assert "no.cfg" in capsys.readouterr().err
 
 
 def test_bad_expression_is_usage_error(capsys):

@@ -10,7 +10,6 @@ from gexpect.dp import (
     adapted_abs_walk,
     coord_walk,
     qv_coord_walk,
-    reward_expect,
     run_walk,
     weighted_coord_walk,
 )
@@ -111,21 +110,27 @@ def test_adapted_abs_walk_matches_brute_force():
     assert run_walk(spec).value == pytest.approx(oracle, abs=1e-12)
 
 
+def _reward_walk(lat, reward):
+    """The additive functional sum_k reward(k, state, sigma^2) on a walk with
+    one state per level: a count walk that never moves."""
+    inert = coord_walk(lat, active=np.zeros(lat.n_steps, dtype=bool))
+    return replace(inert, terminal=lambda s: np.zeros(s.shape[0]), reward=reward)
+
+
 def test_reward_expect_scalar_recursion():
     # additive reward sigma^2 * dt maximized at the top of the band
     lat = build_lattice(1.0, 16, PARAMS)
-    res = reward_expect(
+    res = run_walk(_reward_walk(
         lat, lambda k, states, s2: np.full(states.shape[0], s2 * lat.dt)
-    )
+    ))
     assert res.value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_reward_expect_without_state_walks_one_state_per_level():
     lat = build_lattice(1.0, 8, PARAMS)
-    res = reward_expect(
-        lat, lambda k, states, s2: np.full(states.shape[0], s2 * lat.dt),
-        stop_levels=range(9),
-    )
+    res = run_walk(_reward_walk(
+        lat, lambda k, states, s2: np.full(states.shape[0], s2 * lat.dt)
+    ), stop_levels=range(9))
     assert sorted(res.stops) == list(range(9))
     assert all(states.shape[0] == 1 for states, _ in res.stops.values())
     assert res.value == pytest.approx(1.0, abs=1e-13)

@@ -10,7 +10,6 @@ from gexpect.gcore import (
     capacity_estimate,
     default_scenario_family,
     g_eval,
-    sublinear_expect,
 )
 
 PARAMS = GParams(sigma_lower_sq=0.25, sigma_upper_sq=1.0)
@@ -60,13 +59,6 @@ def test_params_validation():
         GParams(sigma_lower_sq=0.0, sigma_upper_sq=0.0)
 
 
-def test_sublinear_expect():
-    assert sublinear_expect([1.0, -2.0, 0.5]) == 1.0
-    assert -sublinear_expect([-v for v in (1.0, -2.0, 0.5)]) == -2.0
-    with pytest.raises(ValueError):
-        sublinear_expect([])
-
-
 def test_capacity_estimate():
     assert capacity_estimate([0.0, 0.25, 0.1]) == 0.25
     with pytest.raises(ValueError):
@@ -82,8 +74,7 @@ def test_default_family_contents():
     assert fam.by_name("const-min").value == 0.25
     assert fam.by_name("const-mid").value == pytest.approx(0.625)
     alt = fam.by_name("alternating")
-    assert float(alt.sigma_sq(0, 0.0)) == 1.0
-    assert float(alt.sigma_sq(1, 0.0)) == 0.25
+    assert alt.schedule(3).tolist() == [1.0, 0.25, 1.0]
     with pytest.raises(KeyError):
         fam.by_name("nope")
 

@@ -24,7 +24,6 @@ from gexpect.glattice import (
     eval_tables_on_paths,
     extract_worst_policy,
     lattice_expect,
-    policy_to_csv,
     sample_paths,
 )
 from gexpect.payoff import PayoffEvalError, eval_expr, parse
@@ -81,9 +80,6 @@ def test_build_lattice_grids():
     assert lat3.n_sigma == 4
     degenerate = build_lattice(1.0, 4, GParams(1.0, 1.0))
     assert degenerate.sigma_grid == (1.0,)
-    assert lat.level_of_time(0.5) == 2
-    with pytest.raises(ValueError):
-        lat.level_of_time(0.3)
 
 
 def test_functional_validation():
@@ -363,78 +359,111 @@ def test_out_of_band_policy_rejected():
         sample_paths(lat, ConstantPolicy(2.0), 10, seed=0)
 
 
-def test_track_coords_requires_grid_alignment():
+def test_policy_without_a_schedule_rejected():
+    class NoSchedule(VolatilityPolicy):
+        name = "no-schedule"
+
     lat = build_lattice(1.0, 5, PARAMS)
-    with pytest.raises(ValueError, match="grid-aligned"):
-        sample_paths(lat, ConstantPolicy(0.625), 10, seed=0, track_coords=True)
+    with pytest.raises(NotImplementedError):
+        sample_paths(lat, NoSchedule(), 10, seed=0)
 
 
-def test_lattice_policy_ensemble_keeps_coords_only_on_request():
+def test_lattice_policy_paths_take_the_recorded_choice_at_their_node():
     n = 12
     lat = build_lattice(1.0, n, PARAMS)
     pol = extract_worst_policy(lat, CylinderFunctional((4, n), parse("abs(x1) * x2")))
-    plain = sample_paths(lat, pol, 300, seed=5)
-    tracked = sample_paths(lat, pol, 300, seed=5, track_coords=True)
-    assert plain.coords is None
-    np.testing.assert_array_equal(plain.B, tracked.B)
-    np.testing.assert_array_equal(plain.sigma_sq, tracked.sigma_sq)
-    assert len(np.unique(plain.sigma_sq)) == 2  # the policy switches
+    ens = sample_paths(lat, pol, 300, seed=5)
+    assert len(np.unique(ens.sigma_sq)) == 2  # the policy switches
+    # rebuild each path's per-segment net counts from its own steps
+    grid = np.asarray(lat.sigma_grid)
     sv = np.asarray(lat.sigma_values) * math.sqrt(lat.dt)
-    np.testing.assert_allclose(tracked.coords @ sv, tracked.B, atol=1e-12)
+    seg_counts = [np.zeros((300, lat.n_sigma), dtype=np.int64)]
+    for k in range(n):
+        choice = np.asarray(pol.sigma_index(k, seg_counts))
+        assert np.array_equal(grid[choice], ens.sigma_sq[:, k])
+        step = np.sign(ens.B[:, k + 1] - ens.B[:, k]).astype(np.int64)
+        seg_counts[-1][np.arange(300), choice] += step
+        if k + 1 == 4:
+            seg_counts.append(np.zeros((300, lat.n_sigma), dtype=np.int64))
+    np.testing.assert_allclose(sum(seg_counts) @ sv, ens.B[:, n], atol=1e-12)
 
 
-class _Stepwise(VolatilityPolicy):
-    """Forwards ``sigma_sq`` and gives no schedule, so the sampler loops."""
+def _reference_paths(lat, pol, n_paths, seed):
+    """B and sigma_sq from a per-step loop over the policy's schedule."""
+    n = lat.n_steps
+    signs = 2 * np.random.default_rng(seed).integers(0, 2, size=(n_paths, n)) - 1
+    rates = pol.schedule(n)
+    B = np.zeros((n_paths, n + 1))
+    sig = np.empty((n_paths, n))
+    for k in range(n):
+        sig[:, k] = rates[k]
+        B[:, k + 1] = B[:, k] + signs[:, k] * np.sqrt(rates[k] * lat.dt)
+    return B, sig
 
-    def __init__(self, policy):
-        self.policy, self.name = policy, policy.name
 
-    def sigma_sq(self, level, positions):
-        return self.policy.sigma_sq(level, positions)
-
-
-@pytest.mark.parametrize("params, refinement", [
-    (PARAMS, 0), (PARAMS, 1), (GParams(sigma_lower_sq=0.0, sigma_upper_sq=1.0), 0),
+GRIDS = pytest.mark.parametrize("params, refinement", [
+    (PARAMS, 0), (PARAMS, 1), (GParams(sigma_lower_sq=0.0, sigma_upper_sq=1.0), 1),
 ], ids=["default", "refined", "zero-lower"])
+
+
+@GRIDS
 def test_scheduled_sampler_matches_the_loop(params, refinement):
     lat = build_lattice(1.0, 37, params, sigma_refinement=refinement)
     for i, pol in enumerate(default_scenario_family(params)):
-        assert pol.schedule(lat.n_steps) is not None
         fast = sample_paths(lat, pol, 1000, seed=40 + i)
-        loop = sample_paths(lat, _Stepwise(pol), 1000, seed=40 + i)
-        for a, b in ((fast.B, loop.B), (fast.sigma_sq, loop.sigma_sq)):
+        loop = _reference_paths(lat, pol, 1000, seed=40 + i)
+        for a, b in zip((fast.B, fast.sigma_sq), loop):
             assert np.array_equal(a, b)
             assert a.tobytes() == b.tobytes()  # signed zeros too
             assert a.flags.c_contiguous and a.flags.writeable
-        assert fast.coords is None and fast.policy_name == pol.name
+        assert fast.policy_name == pol.name
+
+
+@GRIDS
+def test_tables_of_a_martingale_read_back_the_path(params, refinement):
+    # x1 in levels mode has conditional table B_k at level k, whatever the
+    # volatility, so reading it at each path's node must give the path
+    n = 12
+    lat = build_lattice(1.0, n, params, sigma_refinement=refinement)
+    tables = conditional_tables(lat, CylinderFunctional((n,), parse("x1"), mode="levels"),
+                                range(n + 1))
+    grid = set(lat.sigma_grid)
+    policies = [p for p in default_scenario_family(params)
+                if set(p.schedule(n)) <= grid]
+    policies.append(extract_worst_policy(lat, CylinderFunctional((n,), parse("abs(x1)"))))
+    for i, pol in enumerate(policies):
+        ens = sample_paths(lat, pol, 500, seed=60 + i)
+        np.testing.assert_allclose(eval_tables_on_paths(tables, ens), ens.B,
+                                   rtol=0, atol=1e-12)
+
+
+def test_off_grid_rate_rejected_by_path_evaluation():
+    n = 5
+    lat = build_lattice(1.0, n, PARAMS)
+    tables = conditional_tables(lat, CylinderFunctional((n,), parse("x1"), mode="levels"),
+                                range(n + 1))
+    ens = sample_paths(lat, ConstantPolicy(0.625), 10, seed=0)
+    with pytest.raises(ValueError, match="grid-aligned"):
+        eval_tables_on_paths(tables, ens)
 
 
 class _LeavesBandAtThree(VolatilityPolicy):
     name = "leaves-band"
 
-    @staticmethod
-    def rate(level):
-        return 1.5 if level == 3 or level >= 5 else 0.5
-
-    def sigma_sq(self, level, positions):
-        return np.full(np.shape(positions), self.rate(level))
-
     def schedule(self, n_steps):
-        return np.array([self.rate(k) for k in range(n_steps)])
+        return np.array([1.5 if k == 3 or k >= 5 else 0.5 for k in range(n_steps)])
 
 
 def test_schedule_leaving_the_band_names_its_first_step():
     lat = build_lattice(1.0, 8, PARAMS)
-    for pol in (_LeavesBandAtThree(), _Stepwise(_LeavesBandAtThree())):
-        with pytest.raises(ValueError, match="band at step 3$"):
-            sample_paths(lat, pol, 10, seed=0)
+    with pytest.raises(ValueError, match="band at step 3$"):
+        sample_paths(lat, _LeavesBandAtThree(), 10, seed=0)
 
 
 def test_nan_policy_value_rejected():
     lat = build_lattice(1.0, 5, PARAMS)
-    for pol in (ConstantPolicy(math.nan), _Stepwise(ConstantPolicy(math.nan))):
-        with pytest.raises(ValueError, match="band at step 0$"):
-            sample_paths(lat, pol, 10, seed=0)
+    with pytest.raises(ValueError, match="band at step 0$"):
+        sample_paths(lat, ConstantPolicy(math.nan), 10, seed=0)
 
 
 def test_schedule_of_the_wrong_length_rejected():
@@ -452,8 +481,7 @@ def test_eval_tables_on_paths_reconstructs_terminal_payoff():
     lat = build_lattice(1.0, n, PARAMS)
     X = CylinderFunctional((n,), parse("x1^2"), mode="levels")
     tables = conditional_tables(lat, X, range(n + 1))
-    ens = sample_paths(lat, ConstantPolicy(0.25, name="const-min"), 200,
-                       seed=11, track_coords=True)
+    ens = sample_paths(lat, ConstantPolicy(0.25, name="const-min"), 200, seed=11)
     v = eval_tables_on_paths(tables, ens)
     np.testing.assert_allclose(v[:, n], ens.B[:, n] ** 2, atol=1e-12)
     assert np.all(v[:, 0] == tables[0].value_at_origin())
@@ -468,11 +496,3 @@ def test_csv_exports(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["path_id", "step", "t", "B", "sigma_sq", "qv"]
     assert len(rows) == 1 + 3 * 5
-
-    pol = extract_worst_policy(lat, CylinderFunctional((4,), parse("x1^2")))
-    p2 = tmp_path / "policy.csv"
-    policy_to_csv(pol, str(p2))
-    with open(p2, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["level", "node_position", "sigma_sq"]
-    assert all(float(r[2]) == 1.0 for r in rows[1:])

@@ -15,7 +15,6 @@ from gexpect.payoff import parse
 from gexpect.stochastic import (
     StepProcess,
     g_compensated,
-    integrate_qv,
     ito_integral,
     mg_norm,
     qv_identity_gap,
@@ -73,14 +72,6 @@ def test_qv_identity_is_machine_exact():
     assert qv_identity_gap(M, ENS) < 1e-13
 
 
-def test_integrate_qv_and_monotonicity_guard():
-    total = integrate_qv(StepProcess.constant(1.0), ENS)
-    np.testing.assert_allclose(total, ENS.qv, atol=1e-14)
-    bad = -np.cumsum(np.ones_like(ENS.B), axis=1)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        integrate_qv(StepProcess.constant(1.0), ENS, A=bad)
-
-
 def test_breakpoint_beyond_horizon_rejected():
     with pytest.raises(ValueError):
         ito_integral(StepProcess.indicator(0, 60), ENS)
@@ -92,6 +83,15 @@ def test_mg_norm_of_unit_integrand():
     assert norm == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         mg_norm(StepProcess.constant(1.0), [ENS], p=0.5)
+
+
+def test_mg_norm_of_an_indicator_reads_the_window_of_d_qv():
+    ens = sample_paths(LAT, default_scenario_family(PARAMS).by_name("alternating"),
+                       300, seed=7)
+    a, b = 10, 35
+    expected = math.sqrt(np.mean(np.sum(ens.sigma_sq[:, a:b], axis=1)) * LAT.dt)
+    norm = mg_norm(StepProcess.indicator(a, b), [ens], p=2.0)
+    assert norm == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_g_compensated_nonincreasing_everywhere():
