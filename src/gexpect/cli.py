@@ -117,9 +117,9 @@ def cmd_expect(args) -> int:
     if args.backend in ("pde", "both"):
         if arity(phi) > 1:
             raise UsageError("the PDE backend handles single-variable payoffs")
-        values["pde"] = gnormal_expect(
-            phi, t, cfg.params, nx=cfg.nx, cfl_safety=cfg.cfl_safety
-        )
+        # at x1's anchor time, as the lattice reads it; exactly t at n_steps
+        values["pde"] = gnormal_expect(phi, t * (levels[0] / cfg.n_steps), cfg.params,
+                                       nx=cfg.nx, cfl_safety=cfg.cfl_safety)
     for k in ("lattice", "pde"):
         if k in values:
             print(f"{k}: {_fmt(cfg, values[k])}")
@@ -230,7 +230,7 @@ def make_parser() -> argparse.ArgumentParser:
     pe.add_argument("--phi", required=True, help="payoff expression")
     pe.add_argument("--t", type=float, default=1.0, help="horizon")
     pe.add_argument("--times", default=None,
-                    help="comma-separated anchor levels (lattice backend)")
+                    help="anchor levels, comma-separated; the PDE uses the first")
     pe.add_argument("--mode", choices=("increments", "levels"),
                     default="increments")
     pe.add_argument("--backend", choices=("pde", "lattice", "both"),

@@ -7,11 +7,12 @@ make its functional an exact function of the state.  Positions live on the
 lattice's node basis (:attr:`gexpect.glattice.Lattice.basis`, through
 :func:`basis_axes`): choice i moves a block of position axes by
 +-``steps[i]``, so on a commensurate grid such as the default band one axis
-holds the position and paths that reach the same position merge.  Next to
-it sit per-volatility step totals for the quadratic variation, one block per
-integrand value for a step integrand, and scaled integer units for a running
-integral.  ``coord_walk`` alone keeps net counts per volatility
-(``lat.count_basis``), because callers outside this module read its states
+holds the position and paths that reach the same position merge.  One
+transition (``_shift_walk``) moves such blocks, one per nonzero integrand
+value for a step integrand, with per-volatility step totals for the
+quadratic variation; ``adapted_abs_walk`` adds scaled integer units for a
+running integral.  ``coord_walk`` alone keeps net counts per volatility
+(``lat.count_basis``), because the benchmark's dual walk reads its states
 as counts.
 
 The forward pass enumerates reachable states level by level.  It packs each
@@ -115,8 +116,9 @@ def _unpack(keys, lo, span):
     rows = np.empty((keys.size, len(span)), dtype=np.int64)
     for c in range(len(span) - 1, 0, -1):
         keys, rows[:, c] = np.divmod(keys, span[c])
-    rows[:, 0] = keys
-    rows += lo
+    if span:
+        rows[:, 0] = keys
+    rows += np.asarray(lo, dtype=np.int64)
     return rows
 
 
@@ -225,36 +227,62 @@ def basis_axes(lat: Lattice, basis: NodeBasis | None = None):
     return np.array(basis.steps, dtype=np.int64), np.asarray(basis.unit)
 
 
-def coord_walk(lat: Lattice, active=None) -> WalkSpec:
-    """State = net counts per volatility, accumulated on active levels only.
+def _shift_walk(lat: Lattice, moves, totals=None, basis: NodeBasis | None = None):
+    """(transition, init_state) of a walk whose steps move whole blocks of
+    position axes of ``basis``.
 
-    decode gives the accumulated position sum(c_j * sigma_j * sqrt(dt)); with
-    ``active`` a 0/1 per-level mask, that position is the integral of the
-    indicator step process against the path.  The state stays on
-    ``lat.count_basis`` because callers outside this module build walks
-    from its ``init_state`` and ``transition`` and read a state as counts.
+    The state holds one block per row of the bool (blocks, n_steps) array
+    ``moves``: at level k, choice i moves block b by +-steps[i] where
+    moves[b, k].  Where the bool (n_steps,) mask ``totals`` is given, the
+    state ends with one step total per volatility but the last, counted on
+    the levels it marks.  A level that moves nothing returns the states
+    object itself.
     """
-    steps, unit = basis_axes(lat, lat.count_basis)
-    w = unit * math.sqrt(lat.dt)
-    if active is None:
-        active = np.ones(lat.n_steps, dtype=bool)
-    active = np.asarray(active, dtype=bool)
+    steps, _ = basis_axes(lat, basis)
+    a = steps.shape[1]
+    r = lat.n_sigma
+    moves = np.asarray(moves, dtype=bool).reshape(-1, lat.n_steps)
+    moved = [[slice(b * a, b * a + a) for b in np.flatnonzero(col)] for col in moves.T]
+    first_total = moves.shape[0] * a
+    counted = np.zeros(lat.n_steps, dtype=bool) if totals is None else totals
+    width = first_total + (0 if totals is None else r - 1)
 
     def transition(level, states, i, sign):
-        if not active[level]:
+        count = counted[level] and i < r - 1
+        if not moved[level] and not count:
             return states
-        return states + sign * steps[i]
+        out = states.copy()
+        shift = sign * steps[i]
+        for cols in moved[level]:
+            out[:, cols] += shift
+        if count:
+            out[:, first_total + i] += 1
+        return out
 
-    def decode(states):
-        return states @ w
+    return transition, np.zeros(width, dtype=np.int64)
 
-    return WalkSpec(
-        lattice=lat,
-        init_state=np.zeros(steps.shape[1], dtype=np.int64),
-        transition=transition,
-        terminal=lambda s: decode(s),
-        decode=decode,
-    )
+
+def _qv(lat: Lattice, m, n_counted: int):
+    """Quadratic variation dt * sum_j m_j * sigma_j^2 of ``n_counted`` steps,
+    given the rows m of step totals for all but the last volatility; the
+    last total is what remains of ``n_counted``."""
+    s2 = np.asarray(lat.sigma_grid)
+    if lat.n_sigma == 1:
+        return np.full(m.shape[0], n_counted * s2[0] * lat.dt)
+    m_last = n_counted - m.sum(axis=1)
+    return lat.dt * (m @ s2[:-1] + m_last * s2[-1])
+
+
+def coord_walk(lat: Lattice, active=None) -> WalkSpec:
+    """``weighted_coord_walk`` of the 0/1 mask ``active`` on
+    ``lat.count_basis``: state = net counts per volatility on active levels.
+
+    It keeps counts only for the benchmark's dual walk, which reads its
+    states as counts; other walks use ``weighted_coord_walk`` on lat.basis.
+    """
+    if active is None:
+        active = np.ones(lat.n_steps, dtype=bool)
+    return weighted_coord_walk(lat, active, lat.count_basis)
 
 
 def qv_coord_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
@@ -265,33 +293,18 @@ def qv_coord_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
     qv = dt * sum_j m_j * sigma_j^2 exactly, with the last total recovered
     from the level.  On the default band the state is (p, m_1).
     """
-    steps, unit = basis_axes(lat, basis)
-    a = steps.shape[1]
-    r = lat.n_sigma
+    _, unit = basis_axes(lat, basis)
+    a = unit.size
     w = unit * math.sqrt(lat.dt)
-    s2 = np.asarray(lat.sigma_grid)
-    dt = lat.dt
-
-    def transition(level, states, i, sign):
-        out = states.copy()
-        out[:, :a] += sign * steps[i]
-        if i < r - 1:
-            out[:, a + i] += 1
-        return out
+    every = np.ones(lat.n_steps, dtype=bool)
+    transition, init_state = _shift_walk(lat, [every], every, basis)
 
     def decode_with_level(states, level):
-        pos = states[:, :a] @ w
-        if r == 1:
-            qv = np.full(states.shape[0], level * s2[0] * dt)
-        else:
-            m = states[:, a:]
-            m_last = level - m.sum(axis=1)
-            qv = dt * (m @ s2[:-1] + m_last * s2[-1])
-        return pos, qv
+        return states[:, :a] @ w, _qv(lat, states[:, a:], level)
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(a + r - 1, dtype=np.int64),
+        init_state=init_state,
         transition=transition,
         terminal=lambda s: decode_with_level(s, lat.n_steps)[0],
         decode=decode_with_level,
@@ -300,35 +313,30 @@ def qv_coord_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
 
 def weighted_coord_walk(lat: Lattice, level_values,
                         basis: NodeBasis | None = None) -> WalkSpec:
-    """State = one block of position axes of ``basis`` per distinct
+    """State = one block of position axes of ``basis`` per distinct nonzero
     integrand value, moved on the levels that take that value.
 
     For a deterministic step integrand taking few distinct values, the
     running integral sum_k f_k * dB_k is an exact function of these blocks.
-    decode returns the running integral.
+    A level where f = 0 adds nothing to it and moves nothing, so an
+    all-zero integrand walks one zero-width state per level.  decode
+    returns the running integral.
     """
     vals = np.asarray(level_values, dtype=float)
     if vals.shape != (lat.n_steps,):
         raise ValueError("need one integrand value per step")
-    distinct = sorted(set(float(v) for v in vals))
-    classes = np.array([distinct.index(float(v)) for v in vals])
-    steps, unit = basis_axes(lat, basis)
-    a = steps.shape[1]
-    w = unit * math.sqrt(lat.dt)
-    weights = np.concatenate([v * w for v in distinct])
-
-    def transition(level, states, i, sign):
-        out = states.copy()
-        c = classes[level] * a
-        out[:, c:c + a] += sign * steps[i]
-        return out
+    distinct = sorted(set(float(v) for v in vals) - {0.0})
+    _, unit = basis_axes(lat, basis)
+    weights = np.multiply.outer(distinct, unit * math.sqrt(lat.dt)).ravel()
+    transition, init_state = _shift_walk(lat, [vals == v for v in distinct],
+                                         basis=basis)
 
     def decode(states):
         return states @ weights
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(len(distinct) * a, dtype=np.int64),
+        init_state=init_state,
         transition=transition,
         terminal=lambda s: decode(s),
         decode=decode,

@@ -326,22 +326,17 @@ class ConditionalTable:
     def value_at_origin(self) -> float:
         return float(self.values[tuple(n // 2 for n in self.values.shape)])
 
-    def at(self, seg_counts) -> np.ndarray:
-        """Values at nodes given by their net counts per volatility.
+    def at(self, seg_coords) -> np.ndarray:
+        """Values at nodes given by their coordinates in ``self.basis``.
 
-        ``seg_counts`` holds one (n_nodes, n_sigma) integer array per segment
-        (segments beyond the table's are ignored); a node's coordinate on
-        axis a is the sum over choices j of counts_j * steps[j][a].
+        ``seg_coords`` holds one (n_nodes, n_axes) integer array per segment
+        (segments beyond the table's are ignored): each node's axis
+        coordinates relative to its segment's start.
         """
-        idx = []
-        for counts, r in zip(seg_counts, self._radii()):
-            for a, w in enumerate(self.basis.reach):
-                c = r * w
-                for j, s in enumerate(self.basis.steps):
-                    if s[a]:
-                        c = c + counts[:, j] * s[a]
-                idx.append(c)
-        return np.broadcast_to(self.values[tuple(idx)], (len(seg_counts[0]),))
+        idx = [r * w + coords[:, a]
+               for coords, r in zip(seg_coords, self._radii())
+               for a, w in enumerate(self.basis.reach)]
+        return np.broadcast_to(self.values[tuple(idx)], (len(seg_coords[0]),))
 
     def condition_to(self, level: int) -> "ConditionalTable":
         if level == self.level:
@@ -491,7 +486,8 @@ class LatticePolicy(VolatilityPolicy):
     """Worst-case (argmax) volatility choice recorded per level and node.
 
     ``frames`` map level -> (seg_lengths, choice-index array) laid out like a
-    ConditionalTable in ``basis``; look a choice up with ``sigma_index``.
+    ConditionalTable in ``basis``, the count basis; look a choice up with
+    ``sigma_index``.
     """
 
     lattice: Lattice
@@ -500,20 +496,17 @@ class LatticePolicy(VolatilityPolicy):
     basis: NodeBasis
     name: str = "worst"
 
-    def frame_table(self, level: int) -> ConditionalTable:
-        """The recorded choices at ``level`` as a table of choice indices."""
+    def sigma_index(self, level: int, seg_counts) -> np.ndarray:
+        """Choice index at each node given by its per-segment net counts per
+        volatility, which are its coordinates in the count basis."""
+        if level not in self.frames:
+            # beyond the functional horizon the value is choice-independent
+            return np.zeros(len(seg_counts[0]), dtype=np.int8)
         segs, pol = self.frames[level]
         return ConditionalTable(
             lattice=self.lattice, level=level, seg_lengths=segs,
             values=np.asarray(pol), basis=self.basis,
-        )
-
-    def sigma_index(self, level: int, seg_counts) -> np.ndarray:
-        """Choice index at each node given by its per-segment net counts."""
-        if level not in self.frames:
-            # beyond the functional horizon the value is choice-independent
-            return np.zeros(len(seg_counts[0]), dtype=np.int8)
-        return self.frame_table(level).at(seg_counts)
+        ).at(seg_counts)
 
 
 def extract_worst_policy(lat: Lattice, X: CylinderFunctional) -> LatticePolicy:
@@ -580,6 +573,12 @@ def sample_paths(
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
+    need = 25 * n_paths * lat.n_steps  # peak: about 3.1 full float64 arrays
+    if need > _MAX_WORKSET_BYTES:
+        raise ValueError(
+            f"ensemble too large (about {need} bytes at its peak); "
+            "reduce n_paths or n_steps"
+        )
     if isinstance(policy, LatticePolicy):
         B, sig = _sample_stepwise(lat, policy, n_paths, seed)
     else:
@@ -652,33 +651,33 @@ def _sample_stepwise(lat: Lattice, policy: LatticePolicy, n_paths: int,
 def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     """Evaluate per-level conditional tables along sampled paths.
 
-    Supports single-anchor functionals (one segment).  Each path's node is
-    rebuilt level by level as net counts per volatility: the step's choice is
-    its rate's index on the lattice's volatility grid (an off-grid rate is an
-    error), and its sign is the sign of the step of ``B``.  A zero-volatility
-    step gets sign 0, which is exact: its count axis moves the position by
-    nothing, so every table is constant along it.
+    Supports single-anchor functionals (one segment) on ``lat.basis``.  Each
+    path keeps a row of node coordinates (one position on the default band)
+    advanced by sign * steps[choice]: the choice is its rate's index on the
+    volatility grid (an off-grid rate is an error), the sign that of the step
+    of ``B``.  A zero-volatility step gets sign 0, which is exact: its steps
+    move the position by nothing, so every table is constant along them.
     """
     lat = ens.lattice
     n = lat.n_steps
     grid = np.asarray(lat.sigma_grid)
     mids = 0.5 * (grid[1:] + grid[:-1])  # a rate's rank among them: nearest grid index
-    counts = np.zeros((ens.n_paths, lat.n_sigma), dtype=np.int64)
-    flat_rows = np.arange(ens.n_paths) * lat.n_sigma
+    steps = np.array(lat.basis.steps, dtype=np.int64)
+    coords = np.zeros((ens.n_paths, lat.basis.n_axes), dtype=np.int64)
     out = np.empty((ens.n_paths, n + 1))
     for k in range(n + 1):
         table = tables[k]
         if len(table.seg_lengths) > 1:
             raise ValueError("path evaluation supports single-segment tables only")
-        out[:, k] = table.at([counts])
+        out[:, k] = table.at([coords])
         if k == n:
             break
         s2 = ens.sigma_sq[:, k]
         sidx = np.searchsorted(mids, s2)
         if not np.all(np.abs(grid[sidx] - s2) <= 1e-12):  # NaN fails too
             raise ValueError("path evaluation requires grid-aligned volatility choices")
-        step = np.sign(ens.B[:, k + 1] - ens.B[:, k]).astype(np.int64)
-        counts.reshape(-1)[flat_rows + sidx] += step
+        sign = np.sign(ens.B[:, k + 1] - ens.B[:, k]).astype(np.int64)
+        coords += sign[:, None] * steps[sidx]
     return out
 
 

@@ -30,9 +30,9 @@ import numpy as np
 from .config import RunConfig
 from .dp import (
     WalkSpec,
+    _qv,
+    _shift_walk,
     adapted_abs_walk,
-    basis_axes,
-    coord_walk,
     qv_coord_walk,
     run_walk,
     weighted_coord_walk,
@@ -363,7 +363,7 @@ def check_isometry(cfg: RunConfig):
         ("ind[0,T/2)", np.arange(n) < n // 2),
         ("ind[T/2,T)", np.arange(n) >= n // 2),
     ):
-        spec = coord_walk(lat, active=active)
+        spec = weighted_coord_walk(lat, active)
         lhs = run_walk(replace(spec, terminal=lambda s: spec.decode(s) ** 2)).value
 
         def reward(k, states, s2, act=active):
@@ -383,7 +383,7 @@ def check_isometry(cfg: RunConfig):
 
     lhs = run_walk(replace(spec, terminal=terminal)).value
 
-    base = coord_walk(lat)
+    base = weighted_coord_walk(lat, np.ones(n))
 
     def reward_b(k, states, s2):
         posv = base.decode(states)
@@ -649,7 +649,7 @@ def check_representation(cfg: RunConfig):
 
     # negative control: M = 2B claimed to have integrand f == 1
     lat = _lattice(cfg, 32)
-    spec = coord_walk(lat)
+    spec = weighted_coord_walk(lat, np.ones(32))
     res = run_walk(
         replace(spec, terminal=lambda s: (2.0 * spec.decode(s)) ** 2,
                 reward=lambda k, states, s2: -np.full(states.shape[0], lat.dt)),
@@ -808,46 +808,25 @@ def check_transfer(cfg: RunConfig):
     n, s = 16, 8
     lat = _lattice(cfg, n)
     tol = cfg.tol.get("transfer", 1e-10)
-    r = lat.n_sigma
-    steps, unit = basis_axes(lat)
-    a = steps.shape[1]
-    w = unit * math.sqrt(lat.dt)
-    s2g = np.asarray(lat.sigma_grid)
-    dt = lat.dt
+    w = np.asarray(lat.basis.unit) * math.sqrt(lat.dt)
+    a = w.size
 
-    # state: frozen position (a axes), running position (a), post-s step
-    # totals (r - 1)
-    d = 2 * a + (r - 1)
+    # state: frozen position, running position, step totals from level s on
+    early = np.arange(n) < s
+    transition, init_state = _shift_walk(lat, [early, np.ones(n, dtype=bool)], ~early)
 
-    def transition(level, states, i, sign):
-        out = states.copy()
-        out[:, a:2 * a] += sign * steps[i]
-        if level < s:
-            out[:, :a] += sign * steps[i]
-        elif i < r - 1:
-            out[:, 2 * a + i] += 1
-        return out
+    def decode(states):
+        return states[:, :a] @ w, states[:, a:2 * a] @ w, _qv(lat, states[:, 2 * a:], n - s)
 
-    def decode(states, level):
-        b_s = states[:, :a] @ w
-        b_t = states[:, a:2 * a] @ w
-        if r == 1:
-            dqv = max(level - s, 0) * s2g[0] * dt
-        else:
-            m = states[:, 2 * a:]
-            m_last = max(level - s, 0) - m.sum(axis=1)
-            dqv = dt * (m @ s2g[:-1] + m_last * s2g[-1])
-        return b_s, b_t, dqv
-
-    spec = WalkSpec(lattice=lat, init_state=np.zeros(d, dtype=np.int64),
-                    transition=transition, terminal=None)
+    spec = WalkSpec(lattice=lat, init_state=init_state, transition=transition,
+                    terminal=None)
     worst = 0.0
     for xi in (1.0, -1.0):
         vals = []
         for which in ("qv", "sq", "diff"):
 
             def terminal(states, which=which, xi=xi):
-                b_s, b_t, dqv = decode(states, n)
+                b_s, b_t, dqv = decode(states)
                 base = b_s**2
                 if which == "qv":
                     return base + xi * dqv
@@ -872,8 +851,8 @@ def check_compensator(cfg: RunConfig):
     dt = lat.dt
     n_paths = 5000
 
-    still = coord_walk(lat, active=np.zeros(n, dtype=bool))  # one state per level
-    walk_b = coord_walk(lat)
+    still = weighted_coord_walk(lat, np.zeros(n))  # one zero-width state per level
+    walk_b = weighted_coord_walk(lat, np.ones(n))
     cases = [  # (name, f, walk, f(states))
         ("const1", StepProcess.constant(1.0), still, lambda st: np.full(st.shape[0], 1.0)),
         ("const-1", StepProcess.constant(-1.0), still, lambda st: np.full(st.shape[0], -1.0)),

@@ -139,6 +139,24 @@ def test_conditional_lists_each_reachable_position_once(tmp_path, capsys):
     assert "wrote 41 nodes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("backend", ["pde", "both"])
+def test_pde_backend_reads_x1_at_its_anchor(backend, capsys):
+    # level 5 of 200 is t = 0.025, where E[B^2] = 0.025, not the horizon's 1
+    rc = main(["expect", "--phi", "x1^2", "--times", "5", "--n-steps", "200",
+               "--backend", backend, "--digits", "17"])
+    assert rc == 0
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(out["pde"]) == pytest.approx(0.025, abs=1e-9)
+    if backend == "both":
+        assert abs(float(out["diff"])) <= 1e-9
+
+
+def test_simulate_beyond_the_memory_guard_is_numeric_error(capsys):
+    rc = main(["simulate", "--policy", "const-max", "--n-paths", "2000000000"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric error: ensemble too large")
+
+
 def test_simulate_named_and_worst_policies(tmp_path, capsys):
     out = tmp_path / "paths.csv"
     rc = main(["simulate", "--policy", "const-max", "--n-steps", "10",

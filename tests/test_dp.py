@@ -112,8 +112,8 @@ def test_adapted_abs_walk_matches_brute_force():
 
 def _reward_walk(lat, reward):
     """The additive functional sum_k reward(k, state, sigma^2) on a walk with
-    one state per level: a count walk that never moves."""
-    inert = coord_walk(lat, active=np.zeros(lat.n_steps, dtype=bool))
+    one state per level: the walk of an all-zero integrand."""
+    inert = weighted_coord_walk(lat, np.zeros(lat.n_steps))
     return replace(inert, terminal=lambda s: np.zeros(s.shape[0]), reward=reward)
 
 
@@ -132,8 +132,88 @@ def test_reward_expect_without_state_walks_one_state_per_level():
         lat, lambda k, states, s2: np.full(states.shape[0], s2 * lat.dt)
     ), stop_levels=range(9))
     assert sorted(res.stops) == list(range(9))
-    assert all(states.shape[0] == 1 for states, _ in res.stops.values())
+    assert all(states.shape == (1, 0) for states, _ in res.stops.values())
     assert res.value == pytest.approx(1.0, abs=1e-13)
+
+
+def _brute_from(lat, k, x, active, terminal):
+    """Exhaustive oracle from level k: the upper expectation of terminal(I_n)
+    for the running integral I of the 0/1 step integrand ``active``, with
+    I_k = x (one entry per node)."""
+    if k == lat.n_steps:
+        return terminal(x)
+    if not active[k]:
+        return _brute_from(lat, k + 1, x, active, terminal)
+    best = None
+    for s2 in lat.sigma_grid:
+        step = math.sqrt(s2 * lat.dt)
+        cand = 0.5 * (_brute_from(lat, k + 1, x + step, active, terminal)
+                      + _brute_from(lat, k + 1, x - step, active, terminal))
+        best = cand if best is None else np.maximum(best, cand)
+    return best
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_increment_walk_on_the_node_basis_matches_counts_and_brute_force(n):
+    """``weighted_coord_walk`` of a 0/1 integrand on ``lat.basis`` gives the
+    brute-force conditional value at every state of every level, and the
+    count walk's value at every count vector of the same position, with
+    fewer states once three steps can merge."""
+    lat = build_lattice(1.0, n, PARAMS)
+
+    def terminal(x):
+        return np.abs(x - 0.2) + x**3
+
+    for active in (np.ones(n, dtype=bool), np.arange(n) < n // 2, np.arange(n) % 3 != 1):
+        runs = []
+        for spec in (weighted_coord_walk(lat, active), coord_walk(lat, active)):
+            spec = replace(spec, terminal=lambda s, d=spec.decode: terminal(d(s)))
+            runs.append((spec.decode, run_walk(spec, stop_levels=range(n + 1))))
+        (dec_p, pos), (dec_c, cnt) = runs
+        for k in range(n + 1):
+            (sp, vp), (sc, vc) = pos.stops[k], cnt.stops[k]
+            xp, xc = dec_p(sp), dec_c(sc)
+            np.testing.assert_allclose(vp, _brute_from(lat, k, xp, active, terminal),
+                                       rtol=0, atol=1e-12)
+            match = np.argmin(np.abs(xc[:, None] - xp[None, :]), axis=1)
+            assert np.max(np.abs(xc - xp[match])) <= 1e-12
+            assert np.unique(match).size == xp.size
+            np.testing.assert_allclose(vc, vp[match], rtol=0, atol=1e-12)
+        held = [sum(r.stops[k][0].shape[0] for k in range(n + 1)) for r in (pos, cnt)]
+        assert held[0] < held[1] if active.sum() >= 3 else held[0] <= held[1]
+
+
+@pytest.mark.parametrize("params, refinement", [(PARAMS, 0), (GParams(0.3, 1.2), 0),
+                                                (PARAMS, 1)],
+                         ids=["default", "0.3-1.2", "refined"])
+def test_transfer_shaped_shift_walk_matches_brute_force(params, refinement):
+    """A frozen block moved before level s, a running block moved at every
+    level and step totals counted from s on give B_s, B_n and <B>_n - <B>_s:
+    each of the three insertions of the squared increment matches the
+    exhaustive oracle."""
+    n, s = 4, 2
+    lat = build_lattice(1.0, n, params, refinement)
+    early = np.arange(n) < s
+    transition, init_state = dp._shift_walk(lat, [early, np.ones(n, dtype=bool)], ~early)
+    w = np.asarray(lat.basis.unit) * math.sqrt(lat.dt)
+    a = w.size
+
+    def quantities(st):
+        return st[:, :a] @ w, st[:, a:2 * a] @ w, dp._qv(lat, st[:, 2 * a:], n - s)
+
+    cases = (
+        (lambda b_s, b_n, dqv: b_s**2 - dqv,
+         lambda B, s2: B[s] ** 2 - np.sum(s2[s:]) * lat.dt),
+        (lambda b_s, b_n, dqv: b_s**2 - (b_n - b_s) ** 2,
+         lambda B, s2: B[s] ** 2 - (B[n] - B[s]) ** 2),
+        (lambda b_s, b_n, dqv: b_s**2 - (b_n**2 - b_s**2),
+         lambda B, s2: B[s] ** 2 - (B[n] ** 2 - B[s] ** 2)),
+    )
+    for walk_terminal, path_terminal in cases:
+        spec = WalkSpec(lattice=lat, init_state=init_state, transition=transition,
+                        terminal=lambda st, f=walk_terminal: f(*quantities(st)))
+        assert run_walk(spec).value == pytest.approx(
+            brute_path_value(lat, path_terminal), abs=1e-12)
 
 
 def test_stop_levels_capture_conditionals():

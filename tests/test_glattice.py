@@ -160,14 +160,16 @@ def test_position_and_count_bases_agree(n, split, mode, data):
     tol = 1e-12 * max(1.0, float(np.max(np.abs(terminal))))
     assert abs(positions[0].value_at_origin() - counts[0].value_at_origin()) <= tol
     for k in range(1, n + 1):
-        # look every reachable count vector up in the position table
+        # look every reachable count vector up in the position table, at
+        # the position coordinates counts @ steps
         mask = counts[k].valid_mask()
         nodes = np.nonzero(mask)
-        seg_counts = [
-            np.stack(nodes[i * lat.n_sigma:(i + 1) * lat.n_sigma], axis=1) - r
+        steps = np.array(lat.basis.steps)
+        seg_coords = [
+            (np.stack(nodes[i * lat.n_sigma:(i + 1) * lat.n_sigma], axis=1) - r) @ steps
             for i, r in enumerate(counts[k]._radii())
         ]
-        got = positions[k].at(seg_counts)
+        got = positions[k].at(seg_coords)
         np.testing.assert_allclose(got, counts[k].values[mask], rtol=0, atol=tol)
         assert positions[k].valid_mask().sum() <= mask.sum()
 
@@ -357,6 +359,24 @@ def test_out_of_band_policy_rejected():
     lat = build_lattice(1.0, 5, PARAMS)
     with pytest.raises(ValueError, match="band"):
         sample_paths(lat, ConstantPolicy(2.0), 10, seed=0)
+
+
+def test_sampler_refuses_an_ensemble_beyond_the_workset_guard(monkeypatch):
+    n, n_paths = 10, 100
+    lat = build_lattice(1.0, n, PARAMS)
+    worst = extract_worst_policy(lat, CylinderFunctional((n,), parse("abs(x1)")))
+
+    def no_signs(*args):
+        raise AssertionError("signs drawn")
+
+    monkeypatch.setattr(glattice, "_signs", no_signs)
+    monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 25 * n_paths * n - 1)
+    for pol in (ConstantPolicy(1.0), worst):
+        with pytest.raises(ValueError, match="ensemble too large"):
+            sample_paths(lat, pol, n_paths, seed=0)
+    monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 25 * n_paths * n)
+    with pytest.raises(AssertionError, match="signs drawn"):
+        sample_paths(lat, ConstantPolicy(1.0), n_paths, seed=0)
 
 
 def test_policy_without_a_schedule_rejected():

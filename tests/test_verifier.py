@@ -6,6 +6,7 @@ import pytest
 
 from gexpect import verifier
 from gexpect.config import RunConfig
+from gexpect.glattice import Lattice
 from gexpect.verifier import (
     CHECKS,
     VerificationReport,
@@ -147,3 +148,14 @@ def test_each_ensemble_is_sampled_once_per_check(monkeypatch, check, n_ensembles
     monkeypatch.setattr(verifier, "sample_paths", recording)
     CHECKS[check](CFG)
     assert len(calls) == len(set(calls)) == n_ensembles
+
+
+def test_walk_checks_read_no_count_states(monkeypatch):
+    # the verifier's augmented walks hold node coordinates of lat.basis only
+    def refuse(self):
+        raise AssertionError("count basis read")
+
+    monkeypatch.setattr(Lattice, "count_basis", property(refuse))
+    reports, failures = run_suite(
+        CFG, only=["isometry", "representation", "transfer", "compensator"])
+    assert failures == 0 and len(reports) == 20
