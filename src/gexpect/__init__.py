@@ -3,7 +3,7 @@ uncertain volatility: a nonlinear-PDE backend, an exact adversarial lattice
 backend, a discrete stochastic-calculus layer, and a theorem verifier.
 """
 
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .gcore import (
     ConstantPolicy,
     GParams,
@@ -27,7 +27,7 @@ from .glattice import (
     lattice_expect,
     sample_paths,
 )
-from .payoff import LipschitzCertificate, check_lip_poly, eval_expr, parse, to_str
+from .payoff import eval_expr, parse, to_str
 from .stochastic import (
     StepProcess,
     g_compensated,
@@ -35,6 +35,6 @@ from .stochastic import (
     mg_norm,
     quadratic_variation,
 )
-from .verifier import CHECKS, VerificationReport, downcrossings, run_suite
+from .verifier import CHECKS, VerificationReport, run_suite
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ Precedence: command-line flags > config file > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -30,21 +31,33 @@ from .glattice import (
     sample_paths,
 )
 from .payoff import PayoffSyntaxError, arity, parse
-from .verifier import CHECKS, reports_to_json, reports_to_table, run_suite
+from .verifier import (CHECKS, VerificationReport, reports_to_json,
+                       reports_to_table, run_suite)
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
+# The flags that override a RunConfig field: flag -> (field, add_argument keywords).
+_CONFIG_FLAGS = {
+    "--seed": ("seed", dict(type=int)),
+    "--sigma0-sq": ("sigma_lower_sq", dict(
+        type=float, metavar="SIGMA0_SQ",
+        help="lower variance rate of the volatility band")),
+    "--n-steps": ("n_steps", dict(type=int)),
+    "--n-paths": ("n_paths", dict(type=int)),
+    "--out": ("out_dir", dict(metavar="DIR", help="output directory")),
+    "--nx": ("nx", dict(type=int, help="PDE grid nodes")),
+    "--cfl-safety": ("cfl_safety", dict(type=float)),
+    "--digits": ("digits", dict(type=int,
+                                help="printing precision (significant digits)")),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--config and the given flags of ``_CONFIG_FLAGS``: the ones the command
+    reads, so that any other is rejected by argparse."""
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sigma0-sq", type=float, default=None,
-                   help="lower variance rate of the volatility band")
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    p.add_argument("--nx", type=int, default=None, help="PDE grid nodes")
-    p.add_argument("--cfl-safety", type=float, default=None)
-    p.add_argument("--digits", type=int, default=None,
-                   help="printing precision (significant digits)")
+    for flag in flags:
+        field, kw = _CONFIG_FLAGS[flag]
+        p.add_argument(flag, dest=field, **kw)
 
 
 def _build_config(args) -> RunConfig:
@@ -53,29 +66,33 @@ def _build_config(args) -> RunConfig:
     error."""
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = cfg.with_overrides(
-            seed=args.seed,
-            sigma_lower_sq=args.sigma0_sq,
-            n_steps=args.n_steps,
-            n_paths=args.n_paths,
-            out_dir=args.out,
-            nx=args.nx,
-            cfl_safety=args.cfl_safety,
-            digits=args.digits,
-        )
+        cfg = cfg.with_overrides(**{
+            field: getattr(args, field, None) for field, _ in _CONFIG_FLAGS.values()
+        })
         cfg.params  # build the band now, so that it fails here
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     return cfg
 
 
-def _horizon(args) -> float:
-    """--t: finite and positive; ``expect --backend pde`` also takes 0."""
+def _horizon(args, cfg: RunConfig) -> float:
+    """--t, else the config's horizon; --t must be finite and positive, and
+    ``expect --backend pde`` also takes 0."""
+    if args.t is None:
+        return cfg.horizon
     pde = getattr(args, "backend", None) == "pde"
     if not (math.isfinite(args.t) and (args.t >= 0 if pde else args.t > 0)):
         raise UsageError(f"--t must be finite and {'>= 0' if pde else 'positive'}, "
                          f"got {args.t}")
     return args.t
+
+
+def _output(path: str) -> str:
+    """``path`` if its directory exists, checked before any work starts."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"output directory {folder!r} does not exist")
+    return path
 
 
 def _fmt(cfg: RunConfig, x: float) -> str:
@@ -106,7 +123,9 @@ def _parse_levels(cfg: RunConfig, times: str | None, phi):
 
 def cmd_expect(args) -> int:
     cfg = _build_config(args)
-    t = _horizon(args)
+    t = _horizon(args, cfg)
+    if args.csv:
+        _output(args.csv)
     phi = parse(args.phi)
     levels = _parse_levels(cfg, args.times, phi)  # checked on every backend
     values = {}
@@ -126,10 +145,8 @@ def cmd_expect(args) -> int:
     if len(values) == 2:
         print(f"diff: {_fmt(cfg, values['lattice'] - values['pde'])}")
     if args.csv:
-        import csv as _csv
-
         with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["backend", "value"])
             for k, v in values.items():
                 w.writerow([k, repr(v)])
@@ -138,8 +155,10 @@ def cmd_expect(args) -> int:
 
 def cmd_conditional(args) -> int:
     cfg = _build_config(args)
+    out = _output(args.csv or os.path.join(cfg.out_dir, "conditional.csv"))
     phi = parse(args.phi)
-    lat = build_lattice(_horizon(args), cfg.n_steps, cfg.params, cfg.sigma_refinement)
+    lat = build_lattice(_horizon(args, cfg), cfg.n_steps, cfg.params,
+                        cfg.sigma_refinement)
     levels = _parse_levels(cfg, args.times, phi)
     X = CylinderFunctional(levels, phi, mode=args.mode)
     if not 0 <= args.j <= X.levels[-1]:
@@ -150,11 +169,8 @@ def cmd_conditional(args) -> int:
     mask = table.valid_mask()
     pos = table.positions()
     rows = sorted(zip(pos[mask].tolist(), table.values[mask].tolist()))
-    out = args.csv or os.path.join(cfg.out_dir, "conditional.csv")
-    import csv as _csv
-
     with open(out, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["node", "psi"])
         for x, v in rows:
             w.writerow([repr(x), repr(v)])
@@ -166,7 +182,9 @@ def cmd_conditional(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    lat = build_lattice(_horizon(args), cfg.n_steps, cfg.params, cfg.sigma_refinement)
+    out = _output(args.csv or os.path.join(cfg.out_dir, "paths.csv"))
+    lat = build_lattice(_horizon(args, cfg), cfg.n_steps, cfg.params,
+                        cfg.sigma_refinement)
     if args.policy.startswith("worst:"):
         phi = parse(args.policy[len("worst:"):])
         X = CylinderFunctional((cfg.n_steps,), phi)
@@ -175,7 +193,6 @@ def cmd_simulate(args) -> int:
         family = default_scenario_family(cfg.params)
         policy = family.by_name(args.policy)
     ens = sample_paths(lat, policy, cfg.n_paths, cfg.seed)
-    out = args.csv or os.path.join(cfg.out_dir, "paths.csv")
     ensemble_to_csv(ens, out)
     print(f"wrote {ens.n_paths} paths to {out}")
     return 0
@@ -186,8 +203,8 @@ def cmd_verify(args) -> int:
     if args.no_timing:
         cfg = cfg.with_overrides(timing=False)
     only = [c.strip() for c in args.only.split(",")] if args.only else None
+    out = _output(args.report or os.path.join(cfg.out_dir, "report.json"))
     reports, failures = run_suite(cfg, only=only)
-    out = args.report or os.path.join(cfg.out_dir, "report.json")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(reports_to_json(reports))
     print(reports_to_table(reports))
@@ -197,23 +214,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _build_config(args)
-    with open(args.input, encoding="utf-8") as fh:
-        data = json.load(fh)
-
-    from .verifier import VerificationReport
-
-    reports = [
-        VerificationReport(
-            check_id=d["id"], kind=d["kind"], lhs=d["lhs"], rhs=d["rhs"],
-            tol=d["tol"], passed=d["pass"], backend=d["backend"],
-            seed=d.get("seed"), n_paths=d.get("n_paths"),
-            wall_ms=d.get("wall_ms", 0.0),
-            expected_fail=d.get("expected_fail", False),
-            details=d.get("details", {}),
-        )
-        for d in data
-    ]
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise TypeError("expected a list of check reports")
+        reports = [
+            VerificationReport(
+                check_id=d["id"], kind=d["kind"], lhs=d["lhs"], rhs=d["rhs"],
+                tol=d["tol"], passed=d["pass"], backend=d["backend"],
+                seed=d.get("seed"), n_paths=d.get("n_paths"),
+                wall_ms=d.get("wall_ms", 0.0),
+                expected_fail=d.get("expected_fail", False),
+                details=d.get("details", {}),
+            )
+            for d in data
+        ]
+    # JSONDecodeError is a ValueError; an entry without a field is a KeyError
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read report {args.input!r}: "
+                         f"{type(exc).__name__}: {exc}") from None
     print(reports_to_table(reports))
     return 0
 
@@ -228,7 +248,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("expect", help="compute an upper expectation")
     pe.add_argument("--phi", required=True, help="payoff expression")
-    pe.add_argument("--t", type=float, default=1.0, help="horizon")
+    pe.add_argument("--t", type=float, default=None,
+                    help="horizon (default: the config's horizon)")
     pe.add_argument("--times", default=None,
                     help="anchor levels, comma-separated; the PDE uses the first")
     pe.add_argument("--mode", choices=("increments", "levels"),
@@ -236,26 +257,26 @@ def make_parser() -> argparse.ArgumentParser:
     pe.add_argument("--backend", choices=("pde", "lattice", "both"),
                     default="both")
     pe.add_argument("--csv", default=None)
-    _add_global_flags(pe)
+    _add_config_flags(pe, "--sigma0-sq", "--n-steps", "--nx", "--cfl-safety", "--digits")
     pe.set_defaults(func=cmd_expect)
 
     pc = sub.add_parser("conditional", help="conditional expectation node table")
     pc.add_argument("--phi", required=True)
-    pc.add_argument("--t", type=float, default=1.0)
+    pc.add_argument("--t", type=float, default=None)
     pc.add_argument("--times", default=None)
     pc.add_argument("--mode", choices=("increments", "levels"),
                     default="increments")
     pc.add_argument("--j", type=int, required=True, help="conditioning level")
     pc.add_argument("--csv", default=None)
-    _add_global_flags(pc)
+    _add_config_flags(pc, "--sigma0-sq", "--n-steps", "--out", "--digits")
     pc.set_defaults(func=cmd_conditional)
 
     ps = sub.add_parser("simulate", help="sample a seeded path ensemble")
     ps.add_argument("--policy", required=True,
                     help="scenario name or worst:<payoff>")
-    ps.add_argument("--t", type=float, default=1.0)
+    ps.add_argument("--t", type=float, default=None)
     ps.add_argument("--csv", default=None)
-    _add_global_flags(ps)
+    _add_config_flags(ps, "--seed", "--sigma0-sq", "--n-steps", "--n-paths", "--out")
     ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run the verification suite")
@@ -264,12 +285,11 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--report", default=None, help="JSON report path")
     pv.add_argument("--no-timing", action="store_true",
                     help="zero wall times for byte-identical reports")
-    _add_global_flags(pv)
+    _add_config_flags(pv, "--seed", "--sigma0-sq", "--n-paths", "--out")
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("report", help="render a JSON report as a table")
     pr.add_argument("--input", required=True)
-    _add_global_flags(pr)
     pr.set_defaults(func=cmd_report)
     return p
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .gcore import GParams
 
-__all__ = ["RunConfig", "load_config", "save_config"]
+__all__ = ["RunConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,10 @@ class RunConfig:
     tol: dict = field(default_factory=dict)  # per-check tolerance overrides
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1:
-            raise ValueError("horizon, n_steps and n_paths must be positive")
+        if not 0 < self.horizon < math.inf:  # also refuses NaN
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        if self.n_steps < 1 or self.n_paths < 1:
+            raise ValueError("n_steps and n_paths must be positive")
         if self.nx < 3:
             raise ValueError("need nx >= 3")
         if self.sigma_refinement < 0:
@@ -88,19 +91,3 @@ def load_config(path: str) -> RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return RunConfig(tol=tol, **values)
-
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    """Inverse of load_config (lossless round trip)."""
-    lines = []
-    for f in fields(RunConfig):
-        if f.name == "tol":
-            continue
-        v = getattr(cfg, f.name)
-        if f.name == "timing":
-            v = "true" if v else "false"
-        lines.append(f"{f.name} = {v}")
-    for k in sorted(cfg.tol):
-        lines.append(f"tol.{k} = {cfg.tol[k]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

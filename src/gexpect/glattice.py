@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class NodeBasis:
     def n_axes(self) -> int:
         return len(self.unit)
 
-    @property
+    @cached_property  # frozen, but not slotted: the value goes in __dict__
     def reach(self) -> tuple:
         """Largest |step| per axis: how far one step moves along it."""
         return tuple(max(abs(s[a]) for s in self.steps) for a in range(self.n_axes))

@@ -32,8 +32,6 @@ __all__ = [
     "eval_expr",
     "to_str",
     "arity",
-    "LipschitzCertificate",
-    "check_lip_poly",
 ]
 
 
@@ -358,85 +356,3 @@ def _paren(expr: PayoffExpr) -> str:
         or (isinstance(expr, Const) and expr.value < 0)
     )
     return f"({s})" if needs else s
-
-
-@dataclass(frozen=True)
-class LipschitzCertificate:
-    """Empirical fit of |phi(x) - phi(y)| <= C (1 + |x|^n + |y|^n) |x - y|."""
-
-    C: float
-    n: int
-    box: tuple
-    max_violation: float
-    samples: int
-
-
-def check_lip_poly(
-    expr: PayoffExpr,
-    box: Sequence[tuple],
-    samples: int = 2000,
-    seed: int = 0,
-    n_max: int = 8,
-    c_max: float = 1e6,
-    c_threshold: float = 4.0,
-) -> LipschitzCertificate:
-    """Fit the smallest (C, n) certifying polynomial-growth Lipschitz behaviour.
-
-    Samples point pairs in the box; for each growth order n the tightest C is
-    the max ratio over pairs.  The reported order is the smallest n whose C
-    does not exceed ``c_threshold`` (falling back to the n minimizing C).  The
-    certificate is empirical: max_violation is 0 whenever the fitted C is
-    admissible (C <= c_max).
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if any(hi <= lo for lo, hi in box):
-        raise ValueError("degenerate box (zero volume)")
-    m = max(arity(expr), 1)
-    if len(box) < m:
-        raise ValueError(f"box must cover all {m} variables")
-
-    rng = np.random.default_rng(seed)
-    dims = len(box)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    x = lo + (hi - lo) * rng.random((samples, dims))
-    y = lo + (hi - lo) * rng.random((samples, dims))
-
-    fx = np.asarray(eval_expr(expr, [x[:, j] for j in range(dims)]), dtype=float)
-    fy = np.asarray(eval_expr(expr, [y[:, j] for j in range(dims)]), dtype=float)
-    fx = np.broadcast_to(fx, (samples,))
-    fy = np.broadcast_to(fy, (samples,))
-
-    dist = np.linalg.norm(x - y, axis=1)
-    keep = dist > 1e-12
-    num = np.abs(fx - fy)[keep]
-    nx = np.linalg.norm(x, axis=1)[keep]
-    ny = np.linalg.norm(y, axis=1)[keep]
-    dist = dist[keep]
-
-    best_c = np.inf
-    best_n = 0
-    chosen = None
-    for n in range(n_max + 1):
-        denom = (1.0 + nx**n + ny**n) * dist
-        c_n = float(np.max(num / denom)) if num.size else 0.0
-        if c_n < best_c:
-            best_c, best_n = c_n, n
-        if chosen is None and c_n <= c_threshold:
-            chosen = (c_n, n)
-    if chosen is None:
-        chosen = (best_c, best_n)
-    c_fit, n_fit = chosen
-
-    if c_fit <= c_max:
-        violation = 0.0
-        c_report = c_fit
-    else:
-        c_report = c_max
-        denom = (1.0 + nx**n_fit + ny**n_fit) * dist
-        violation = float(np.max(num - c_max * denom))
-    return LipschitzCertificate(
-        C=c_report, n=n_fit, box=tuple(box), max_violation=violation, samples=samples
-    )

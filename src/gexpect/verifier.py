@@ -53,7 +53,6 @@ from .stochastic import StepProcess, g_compensated, ito_integral, qv_identity_ga
 
 __all__ = [
     "VerificationReport",
-    "downcrossings",
     "CHECKS",
     "run_suite",
     "reports_to_json",
@@ -424,21 +423,6 @@ def check_doob(cfg: RunConfig):
                     constant=const, rhs_expectation=rhs_exp)
         )
     return reports
-
-
-def downcrossings(path, a: float, b: float) -> int:
-    """Completed moves from above b to below a (armed at >= b, fires at <= a)."""
-    if not (0 < a < b):
-        raise ValueError("need 0 < a < b")
-    count = 0
-    armed = False
-    for v in np.asarray(path, dtype=float):
-        if not armed and v >= b:
-            armed = True
-        elif armed and v <= a:
-            count += 1
-            armed = False
-    return count
 
 
 def _downcrossings_many(paths: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -43,7 +44,7 @@ def test_expect_pde_rejects_multivariate(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["expect", "--phi", "x1*x2", "--backend", "pde"], "single-variable"),
-    (["expect", "--phi", "x1", "--n-paths", "0"], "n_paths must be positive"),
+    (["simulate", "--policy", "const-max", "--n-paths", "0"], "n_paths must be positive"),
     (["expect", "--phi", "x1", "--nx", "2"], "nx >= 3"),
     (["expect", "--phi", "x1", "--sigma0-sq", "2"], "sigma_lower_sq <= sigma_upper_sq"),
     (["expect", "--phi", "x1", "--cfl-safety", "0.5"], "cfl_safety must be >= 1"),
@@ -66,6 +67,92 @@ def test_bad_flag_values_are_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expect", "--phi", "x1", "--seed", "1"],
+    ["conditional", "--phi", "x1", "--j", "0", "--nx", "5"],
+    ["simulate", "--policy", "const-max", "--digits", "3"],
+    ["verify", "--only", "transfer", "--n-steps", "7"],
+    ["report", "--input", "report.json", "--seed", "1"],
+], ids=["expect-seed", "conditional-nx", "simulate-digits", "verify-n-steps",
+        "report-seed"])
+def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "expect": {"--phi", "--t", "--times", "--mode", "--backend", "--csv",
+                   "--config", "--sigma0-sq", "--n-steps", "--nx", "--cfl-safety",
+                   "--digits"},
+        "conditional": {"--phi", "--t", "--times", "--mode", "--j", "--csv",
+                        "--config", "--sigma0-sq", "--n-steps", "--out", "--digits"},
+        "simulate": {"--policy", "--t", "--csv", "--config", "--seed", "--sigma0-sq",
+                     "--n-steps", "--n-paths", "--out"},
+        "verify": {"--only", "--report", "--no-timing", "--config", "--seed",
+                   "--sigma0-sq", "--n-paths", "--out"},
+        "report": {"--input"},
+    }
+    # 22 slots for the config file and the flags that override its fields
+    shared = {"--config", *cli._CONFIG_FLAGS}
+    assert sum(len(f & shared) for f in flags.values()) == 22
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every entry into the engines fail, to show a check ran before them."""
+    def started(*args, **kwargs):
+        raise AssertionError("work started before the usage check")
+
+    for name in ("build_lattice", "gnormal_expect", "run_suite"):
+        monkeypatch.setattr(cli, name, started)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--no-timing", "--out", "{missing}"],
+    ["verify", "--no-timing", "--report", "{missing}/report.json"],
+    ["expect", "--phi", "x1^2", "--csv", "{missing}/values.csv"],
+    ["conditional", "--phi", "x1^2", "--j", "0", "--csv", "{missing}/cond.csv"],
+    ["simulate", "--policy", "const-max", "--csv", "{missing}/paths.csv"],
+], ids=["verify-out", "verify-report", "expect-csv", "conditional-csv",
+        "simulate-csv"])
+def test_missing_output_directory_is_usage_error(argv, tmp_path, capsys, no_work):
+    missing = str(tmp_path / "no-such-dir")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {missing!r} does not exist\n")
+
+
+@pytest.mark.parametrize("text", [None, "[{\"id\": ", "{}", "[{\"id\": \"x\"}]"],
+                         ids=["missing", "malformed", "not-a-list", "entry-without-fields"])
+def test_unreadable_report_input_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["report", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read report {str(path)!r}")
+
+
+def test_config_horizon_is_the_default_t(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("horizon = 4\n")
+    rc = main(["expect", "--phi", "x1^2", "--backend", "lattice", "--n-steps", "10",
+               "--config", str(cfgfile)])
+    assert rc == 0
+    assert float(capsys.readouterr().out.split("lattice:")[1]) == pytest.approx(4.0)
+    # the flag still wins over the file
+    rc = main(["expect", "--phi", "x1^2", "--backend", "lattice", "--n-steps", "10",
+               "--config", str(cfgfile), "--t", "2"])
+    assert rc == 0
+    assert float(capsys.readouterr().out.split("lattice:")[1]) == pytest.approx(2.0)
+
+
 def test_pde_backend_takes_a_zero_horizon(capsys):
     assert main(["expect", "--phi", "x1^2 + 1", "--backend", "pde", "--t", "0"]) == 0
     assert float(capsys.readouterr().out.split("pde:")[1]) == pytest.approx(1.0)
@@ -76,7 +163,8 @@ def test_pde_backend_takes_a_zero_horizon(capsys):
     ("seed = 1\ntiming = maybe\n", ":2: timing: expected true or false"),
     ("n_steps = many\n", ":1: n_steps: invalid literal"),
     ("n_paths = 0\n", "n_paths must be positive"),
-], ids=["unknown-key", "bad-bool", "bad-int", "invalid-value"])
+    ("horizon = nan\n", "horizon must be finite and positive"),
+], ids=["unknown-key", "bad-bool", "bad-int", "invalid-value", "nan-horizon"])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, text, message):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)

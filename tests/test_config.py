@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from gexpect.config import RunConfig, load_config, save_config
+from gexpect.config import RunConfig, load_config
 
 
 def test_defaults():
@@ -14,8 +16,9 @@ def test_defaults():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        RunConfig(horizon=0.0)
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            RunConfig(horizon=horizon)
     with pytest.raises(ValueError):
         RunConfig(nx=2)
     with pytest.raises(ValueError):
@@ -29,12 +32,34 @@ def test_with_overrides_skips_none():
     assert cfg.nx == 101
 
 
-def test_round_trip(tmp_path):
-    cfg = RunConfig(seed=42, n_steps=64, timing=False,
-                    out_dir="results", tol={"isometry": 1e-6, "doob": 0.1})
+def test_every_key_parses(tmp_path):
     path = tmp_path / "run.cfg"
-    save_config(cfg, str(path))
-    assert load_config(str(path)) == cfg
+    path.write_text(
+        "sigma_lower_sq = 0.3\n"
+        "sigma_upper_sq = 0.9\n"
+        "horizon = 2.5\n"
+        "n_steps = 64\n"
+        "nx = 101\n"
+        "n_paths = 500\n"
+        "seed = 42\n"
+        "sigma_refinement = 2\n"
+        "cfl_safety = 3.5\n"
+        "out_dir = results\n"
+        "timing = false\n"
+        "digits = 6\n"
+        "tol.isometry = 1e-6\n"
+        "tol.doob = 0.1\n"
+    )
+    cfg = load_config(str(path))
+    assert cfg == RunConfig(
+        sigma_lower_sq=0.3, sigma_upper_sq=0.9, horizon=2.5, n_steps=64, nx=101,
+        n_paths=500, seed=42, sigma_refinement=2, cfl_safety=3.5,
+        out_dir="results", timing=False, digits=6,
+        tol={"isometry": 1e-6, "doob": 0.1},
+    )
+    # every field is set away from its default, so none can be skipped silently
+    assert all(getattr(cfg, f.name) != f.default
+               for f in fields(RunConfig) if f.name != "tol")
 
 
 def test_file_parsing(tmp_path):

@@ -15,7 +15,6 @@ from gexpect.payoff import (
     Pow,
     Var,
     arity,
-    check_lip_poly,
     eval_expr,
     parse,
     to_str,
@@ -134,26 +133,3 @@ def _exprs(max_vars=3):
 @given(_exprs())
 def test_roundtrip_random_trees(expr):
     assert parse(to_str(expr)) == expr
-
-
-# --- growth certificates --------------------------------------------------------
-
-
-def test_lip_certificate_linear():
-    cert = check_lip_poly(parse("2*x1 + 1"), [(-3, 3)])
-    assert cert.n == 0
-    assert cert.max_violation == 0.0
-    assert 0.0 < cert.C <= 2.0 + 1e-12
-
-
-def test_lip_certificate_cubic_needs_growth():
-    cert = check_lip_poly(parse("x1^3"), [(-4, 4)])
-    assert cert.n >= 1
-    assert cert.max_violation == 0.0
-
-
-def test_lip_certificate_validates_box():
-    with pytest.raises(ValueError):
-        check_lip_poly(parse("x1"), [(1, 1)])
-    with pytest.raises(ValueError):
-        check_lip_poly(parse("x1 + x2"), [(-1, 1)])

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,34 +13,54 @@ from gexpect.verifier import (
     VerificationReport,
     _downcrossings_many,
     _report,
-    downcrossings,
     reports_to_json,
     reports_to_table,
     run_suite,
 )
 
+from compare_report import compare  # tests/compare_report.py
+
 CFG = RunConfig(timing=False)
+REFERENCE = Path(__file__).parent / "data" / "verify_report.json"
 
 
 # --- downcrossing counter ------------------------------------------------------
 
 
+def downcrossings(path, a: float, b: float) -> int:
+    """Scalar oracle: completed moves from above b to below a (armed at >= b,
+    fires at <= a)."""
+    count = 0
+    armed = False
+    for v in path:
+        if not armed and v >= b:
+            armed = True
+        elif armed and v <= a:
+            count += 1
+            armed = False
+    return count
+
+
+def _count(path, a, b):
+    return int(_downcrossings_many(np.array([path], dtype=float), a, b)[0])
+
+
 def test_downcrossings_basic_trace():
-    assert downcrossings([3.0, 0.5, 3.0, 0.5], a=1.0, b=2.0) == 2
+    assert _count([3.0, 0.5, 3.0, 0.5], a=1.0, b=2.0) == 2
 
 
 def test_downcrossings_requires_completion():
     # reaching b but never a afterwards does not count
-    assert downcrossings([3.0, 1.5, 3.0], a=1.0, b=2.0) == 0
+    assert _count([3.0, 1.5, 3.0], a=1.0, b=2.0) == 0
     # starting below a without having been above b does not count
-    assert downcrossings([0.5, 3.0, 0.5], a=1.0, b=2.0) == 1
+    assert _count([0.5, 3.0, 0.5], a=1.0, b=2.0) == 1
 
 
 def test_downcrossings_validates_levels():
     with pytest.raises(ValueError):
-        downcrossings([1.0], a=2.0, b=1.0)
+        _count([1.0], a=2.0, b=1.0)
     with pytest.raises(ValueError):
-        downcrossings([1.0], a=0.0, b=1.0)
+        _count([1.0], a=0.0, b=1.0)
 
 
 def test_vectorized_downcrossings_matches_scalar():
@@ -91,6 +112,17 @@ def test_reports_json_is_sorted_and_stable():
     data = json.loads(text)
     assert data[0]["id"] == "a"
     assert text == reports_to_json(rows)
+
+
+def test_report_comparer_passes_on_the_reference_and_catches_1e_11():
+    reference = json.loads(REFERENCE.read_text())
+    assert compare(reference, reference) == []
+    moved = json.loads(REFERENCE.read_text())
+    moved[20]["rhs"] += 1e-11
+    moved[30]["details"]["extra"] = 1.0  # keys the reference lacks are allowed
+    assert compare(reference, moved) == [
+        f"{moved[20]['id']}: rhs {reference[20]['rhs']!r} -> {moved[20]['rhs']!r}"]
+    assert compare(reference, moved[::-1])[0].startswith("check ids differ")
 
 
 # --- suite driver ------------------------------------------------------------------
