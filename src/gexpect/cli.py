@@ -213,23 +213,46 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+# The report fields the table formats, and the JSON type each must have.
+_REPORT_FIELD_TYPES = {
+    "id": "a string", "lhs": "a real number", "rhs": "a real number",
+    "tol": "a real number", "pass": "true or false", "expected_fail": "true or false",
+}
+
+
+def _has_type(v, want: str) -> bool:
+    if want == "a string":
+        return isinstance(v, str)
+    if want == "true or false":
+        return isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _report_from_dict(i: int, d) -> VerificationReport:
+    """Entry ``i`` of a JSON report.  A field the table formats must have its
+    type, so that a bad one is named rather than failing the format."""
+    report = VerificationReport(
+        check_id=d["id"], kind=d["kind"], lhs=d["lhs"], rhs=d["rhs"],
+        tol=d["tol"], passed=d["pass"], backend=d["backend"],
+        seed=d.get("seed"), n_paths=d.get("n_paths"),
+        wall_ms=d.get("wall_ms", 0.0),
+        expected_fail=d.get("expected_fail", False),
+        details=d.get("details", {}),
+    )
+    for key, want in _REPORT_FIELD_TYPES.items():
+        if not _has_type(d.get(key, False), want):
+            raise TypeError(f"entry {i} ({d['id']!r}): {key!r} must be {want}, "
+                            f"got {d[key]!r}")
+    return report
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise TypeError("expected a list of check reports")
-        reports = [
-            VerificationReport(
-                check_id=d["id"], kind=d["kind"], lhs=d["lhs"], rhs=d["rhs"],
-                tol=d["tol"], passed=d["pass"], backend=d["backend"],
-                seed=d.get("seed"), n_paths=d.get("n_paths"),
-                wall_ms=d.get("wall_ms", 0.0),
-                expected_fail=d.get("expected_fail", False),
-                details=d.get("details", {}),
-            )
-            for d in data
-        ]
+        reports = [_report_from_dict(i, d) for i, d in enumerate(data)]
     # JSONDecodeError is a ValueError; an entry without a field is a KeyError
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read report {args.input!r}: "

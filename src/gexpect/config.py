@@ -33,6 +33,9 @@ class RunConfig:
             raise ValueError("n_steps and n_paths must be positive")
         if self.nx < 3:
             raise ValueError("need nx >= 3")
+        if self.nx % 2 == 0:  # the PDE value is read off the node at x = 0
+            raise ValueError(f"nx must be odd so that a grid node sits at x = 0, "
+                             f"got nx={self.nx}")
         if self.sigma_refinement < 0:
             raise ValueError("sigma_refinement must be >= 0")
         if not self.cfl_safety >= 1:  # the explicit PDE march is unstable below 1

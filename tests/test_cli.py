@@ -46,6 +46,7 @@ def test_expect_pde_rejects_multivariate(capsys):
     (["expect", "--phi", "x1*x2", "--backend", "pde"], "single-variable"),
     (["simulate", "--policy", "const-max", "--n-paths", "0"], "n_paths must be positive"),
     (["expect", "--phi", "x1", "--nx", "2"], "nx >= 3"),
+    (["expect", "--phi", "x1", "--backend", "pde", "--nx", "400"], "nx must be odd"),
     (["expect", "--phi", "x1", "--sigma0-sq", "2"], "sigma_lower_sq <= sigma_upper_sq"),
     (["expect", "--phi", "x1", "--cfl-safety", "0.5"], "cfl_safety must be >= 1"),
     (["expect", "--phi", "x1", "--digits", "-3"], "digits must be >= 1"),
@@ -59,7 +60,7 @@ def test_expect_pde_rejects_multivariate(capsys):
     (["simulate", "--policy", "const-max", "--t", "-1"], "--t must be"),
     (["expect", "--phi", "x1", "--backend", "pde", "--times", "abc"],
      "--times takes integer levels"),
-], ids=["pde-multivariate", "n-paths", "nx", "band", "cfl-safety", "digits",
+], ids=["pde-multivariate", "n-paths", "nx", "even-nx", "band", "cfl-safety", "digits",
         "negative-t", "zero-t-lattice", "negative-t-pde", "infinite-t",
         "conditional-t", "simulate-t", "pde-times"])
 def test_bad_flag_values_are_usage_errors(argv, message, capsys):
@@ -137,6 +138,19 @@ def test_unreadable_report_input_is_usage_error(text, tmp_path, capsys):
         path.write_text(text)
     assert main(["report", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read report {str(path)!r}")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lhs", "x"), ("rhs", None), ("tol", True), ("pass", "yes"), ("id", 7),
+])
+def test_report_field_of_wrong_type_is_usage_error(field, value, tmp_path, capsys):
+    good = {"id": "a", "kind": "equality", "lhs": 1.0, "rhs": 1, "tol": 0.1,
+            "pass": True, "backend": "lattice-DP"}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([good, {**good, field: value}]))
+    assert main(["report", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "entry 1 " in err and f"{field!r} must be" in err
 
 
 def test_config_horizon_is_the_default_t(tmp_path, capsys):

@@ -59,6 +59,17 @@ def test_ito_integral_of_indicator_is_a_window_increment():
     assert np.all(I[:, :11] == 0.0)
 
 
+def test_indicator_integral_is_the_constant_integral_stopped():
+    # doob reads both running maxima off one integral: the integral of 1 on
+    # [0, n/2) is, bit for bit, that of the constant 1 stopped at level n/2
+    n = LAT.n_steps
+    full = np.abs(ito_integral(StepProcess.constant(1.0), ENS))
+    part = np.abs(ito_integral(StepProcess.indicator(0, n // 2), ENS))
+    assert np.array_equal(part[:, : n // 2 + 1], full[:, : n // 2 + 1])
+    assert np.all(part[:, n // 2:] == part[:, n // 2: n // 2 + 1])
+    assert np.array_equal(np.max(part, axis=1), np.max(full[:, : n // 2 + 1], axis=1))
+
+
 def test_quadratic_variation_matches_policy():
     qv = quadratic_variation(ENS.B)
     np.testing.assert_allclose(qv, ENS.qv, atol=1e-13)
