@@ -7,19 +7,22 @@ rates), one step under choice j moves the path by +-sigma_j*sqrt(dt),
 sigma_j = sqrt(s_j).  A node has integer coordinates on the axes of a
 :class:`NodeBasis`: choice j moves it by ``steps[j]`` up or down, and axis a
 adds ``unit[a]*sqrt(dt)`` per unit to the position.  Each :class:`Lattice`
-picks its basis once:
+groups its volatilities into classes of small-integer multiples q_j of one
+unit, and its basis has one axis per class: choice j moves its class's axis
+by +-q_j.  Paths that reach the same coordinates recombine, so after n
+steps a class's axis spans 2*max(q)*n + 1 nodes, max over the class.
 
-- position basis, when sigma_j = q_j*u for small integers q_j (the default
-  band [0.25, 1] gives sigma = 0.5, 1, so q = (1, 2), u = 0.5): one axis with
-  steps +-q_j.  Nodes at the same position recombine, so an n-step segment
-  has 2*max(q)*n + 1 nodes;
-- count basis, otherwise (the usual case with interior grid points): one
-  axis of net up-minus-down counts per volatility, unit steps, unit sigma_j.
-  Count vectors need not recombine, so they keep the induction exact.
+- The default band [0.25, 1] gives sigma = 0.5, 1: one class, q = (1, 2),
+  u = 0.5, so a node is its position.
+- The refined grid {0.25, 0.625, 1} gives sigma = 0.5, 0.79, 1: the classes
+  {0.5, 1} (u = 0.5) and {0.79}, two axes.  Coordinates of different
+  classes need not recombine, so they keep the induction exact.
+- The count basis (``Lattice.count_basis``) makes each volatility its own
+  class with step 1: one axis of net up-minus-down counts per volatility.
 
-The two bases give the same values up to roundoff in the node positions.  A
-cylinder functional with anchor levels l_1 < ... < l_m gets one block of basis
-axes per inter-anchor segment.
+All these bases give the same values up to roundoff in the node positions.
+A cylinder functional with anchor levels l_1 < ... < l_m gets one block of
+basis axes per inter-anchor segment.
 
 Window.  A table holds each finished segment at its full length and the
 current one at its elapsed steps e: axis a spans |c_a| <= e*reach_a, where
@@ -71,7 +74,9 @@ _MAX_WORKSET_BYTES = 4 << 30
 # tracemalloc measured 31-38 on 0.7-1.0 M-cell tables; a payoff that holds
 # several full-size temporaries at once while it is evaluated can exceed it.
 _STEP_BYTES_PER_CELL = 40
-# Largest integer step q_j = sigma_j / u of a position basis.
+# Largest integer step q_j = sigma_j / u within one class of commensurate
+# volatilities; a sigma that is no such multiple of a larger one's unit
+# starts a class of its own.
 _MAX_STEP = 16
 
 
@@ -123,23 +128,38 @@ class NodeBasis:
         return cells
 
 
-def _count_basis(sigma_values) -> NodeBasis:
+def _node_basis(sigma_values, grouped: bool = True) -> NodeBasis:
+    """One node axis per class of commensurate volatilities.
+
+    The largest sigma not yet in a class, top, starts one with unit top / den,
+    for the smallest den <= _MAX_STEP whose unit takes the most of the
+    remaining sigma_j as integer multiples q_j * unit, to 1e-12 * top; repeat
+    until every sigma_j is in a class.  Choice j moves its class's axis by q_j
+    and leaves the other axes at 0.  sigma = 0 is 0 * unit of the first class,
+    so it never starts one.  With ``grouped=False`` each sigma_j is its own
+    class with step 1, in grid order: the count basis.
+    """
     r = len(sigma_values)
-    steps = tuple(tuple(int(a == j) for a in range(r)) for j in range(r))
-    return NodeBasis(steps=steps, unit=tuple(sigma_values))
-
-
-def _node_basis(sigma_values) -> NodeBasis:
-    """Position basis when every sigma_j is q_j * u, to roundoff, with
-    u = max(sigma) / den for some integer den <= _MAX_STEP; else the count
-    basis.  The smallest such den gives the largest unit."""
-    top = sigma_values[-1]
-    for den in range(1, _MAX_STEP + 1):
-        unit = top / den
-        q = [round(s / unit) for s in sigma_values]
-        if all(abs(qj * unit - s) <= 1e-12 * top for qj, s in zip(q, sigma_values)):
-            return NodeBasis(steps=tuple((qj,) for qj in q), unit=(unit,))
-    return _count_basis(sigma_values)
+    if not grouped:
+        classes = [(s, {j: 1}) for j, s in enumerate(sigma_values)]
+    else:
+        classes, left = [], set(range(r))
+        while left:
+            top = sigma_values[max(left)]  # the grid ascends
+            best, best_unit = {}, top
+            for den in range(1, _MAX_STEP + 1):
+                unit = top / den
+                q = {j: round(sigma_values[j] / unit) for j in left}
+                fit = {j: qj for j, qj in q.items()
+                       if abs(qj * unit - sigma_values[j]) <= 1e-12 * top}
+                if len(fit) > len(best):
+                    best, best_unit = fit, unit
+            classes.append((best_unit, best))
+            left -= best.keys()
+    return NodeBasis(
+        steps=tuple(tuple(q.get(j, 0) for _, q in classes) for j in range(r)),
+        unit=tuple(u for u, _ in classes),
+    )
 
 
 @dataclass(frozen=True)
@@ -183,7 +203,7 @@ class Lattice:
     @property
     def count_basis(self) -> NodeBasis:
         """Net counts per volatility: exact on every grid."""
-        return _count_basis(self.sigma_values)
+        return _node_basis(self.sigma_values, grouped=False)
 
 
 def build_lattice(
@@ -570,7 +590,8 @@ def sample_paths(
     ``LatticePolicy`` is sampled level by level, each path's choice looked up
     at its current node.  Every other policy gives its rates as a
     ``schedule``: the steps are one broadcast product and ``B`` is their
-    running sum along each path.
+    running sum along each path.  A ``LatticePolicy`` extracted on another
+    lattice than ``lat`` is refused.
     """
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
@@ -581,6 +602,8 @@ def sample_paths(
             "reduce n_paths or n_steps"
         )
     if isinstance(policy, LatticePolicy):
+        if policy.lattice != lat:
+            raise ValueError("the policy was extracted on another lattice")
         B, sig = _sample_stepwise(lat, policy, n_paths, seed)
     else:
         B, sig = _sample_scheduled(lat, policy.schedule(lat.n_steps), n_paths, seed)
@@ -652,7 +675,8 @@ def _sample_stepwise(lat: Lattice, policy: LatticePolicy, n_paths: int,
 def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     """Evaluate per-level conditional tables along sampled paths.
 
-    Supports single-anchor functionals (one segment) on ``lat.basis``.  Each
+    Supports single-anchor functionals (one segment) on ``lat.basis``, with
+    every table built on the ensemble's lattice.  Each
     path keeps a row of node coordinates (one position on the default band)
     advanced by sign * steps[choice]: the choice is its rate's index on the
     volatility grid (an off-grid rate is an error), the sign that of the step
@@ -668,6 +692,8 @@ def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
     out = np.empty((ens.n_paths, n + 1))
     for k in range(n + 1):
         table = tables[k]
+        if table.lattice != lat:
+            raise ValueError(f"the table at level {k} was built on another lattice")
         if len(table.seg_lengths) > 1:
             raise ValueError("path evaluation supports single-segment tables only")
         out[:, k] = table.at([coords])

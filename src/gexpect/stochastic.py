@@ -198,7 +198,10 @@ def g_compensated(
     """
     from .gcore import g_eval
 
-    params = params if params is not None else ens.lattice.params
+    if params is None:
+        params = ens.lattice.params
+    elif params != ens.lattice.params:
+        raise ValueError("params differ from the band of the ensemble's lattice")
     n = ens.lattice.n_steps
     # the default clock's increments are one (n,) row shared by every path
     dA = np.diff(ens.times) if A is None else np.diff(A, axis=1)

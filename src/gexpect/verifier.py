@@ -519,14 +519,20 @@ def check_bdg(cfg: RunConfig):
 
     def measure(ens):
         """Per integrand: E[max |int eta dB|^2], E[int eta^2 dA] with A = t,
-        and E[int eta^2 d<B>]."""
+        and E[int eta^2 d<B>].  The indicator's integral equals const1's up
+        to level n/2 and is flat after it, so one integral gives both of
+        their running maxima."""
         dqv = ens.d_qv
         if np.any(dqv > dt + 1e-12):
             raise ValueError("dominance contract d<B> <= dt violated")
+        run = np.abs(ito_integral(specs[0][1], ens))  # const1
+        half = np.max(run[:, : n // 2 + 1], axis=1)
+        full = np.maximum(half, np.max(run[:, n // 2 + 1:], axis=1))
+        maxima = [full, half, np.max(np.abs(ito_integral(specs[2][1], ens)), axis=1)]
         out = []
-        for _, eta in specs:
+        for (_, eta), m in zip(specs, maxima):
             vals = eta.values_on(ens)
-            out += [float(np.mean(np.max(np.abs(ito_integral(eta, ens)), axis=1) ** 2)),
+            out += [float(np.mean(m**2)),
                     float(np.mean(np.sum(vals**2 * dt, axis=1))),
                     float(np.mean(np.sum(vals**2 * dqv, axis=1)))]
         return out

@@ -103,10 +103,13 @@ def test_default_band_gets_position_basis_with_steps_1_2():
     assert basis.unit == (0.5,)
 
 
-def test_refined_grid_falls_back_to_counts():
-    lat = build_lattice(1.0, 4, PARAMS, sigma_refinement=1)
-    assert lat.basis == lat.count_basis
-    assert lat.basis.steps == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def test_refined_grid_gets_one_axis_per_class():
+    # sigma = 0.5, sqrt(0.625), 1: 0.5 and 1 are multiples of the unit 0.5,
+    # sqrt(0.625) starts a class of its own
+    lat = build_lattice(1.0, 50, PARAMS, sigma_refinement=1)
+    assert lat.basis.steps == ((1, 0), (0, 1), (2, 0))
+    assert lat.basis.unit == (0.5, math.sqrt(0.625))
+    assert glattice._table_cells(lat.basis, (50,), 50) == 201 * 101 == 20_301
 
 
 def test_single_volatility_gets_one_axis():
@@ -134,6 +137,35 @@ def _tables(lat, X, basis):
     return caps
 
 
+def _assert_bases_agree(lat, X):
+    """Every reachable node of every level's table in ``lat.basis`` holds the
+    count basis's value, within 1e-12 of the terminal scale."""
+    n = X.levels[-1]
+    try:
+        with np.errstate(all="ignore"):
+            counts = _tables(lat, X, lat.count_basis)
+            nodes = _tables(lat, X, lat.basis)
+    except PayoffEvalError:
+        assume(False)
+    terminal = counts[n].values[counts[n].valid_mask()]
+    assume(np.all(np.isfinite(terminal)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(terminal))))
+    assert abs(nodes[0].value_at_origin() - counts[0].value_at_origin()) <= tol
+    steps = np.array(lat.basis.steps)
+    for k in range(1, n + 1):
+        # look every reachable count vector up in the node table, at the
+        # node coordinates counts @ steps
+        mask = counts[k].valid_mask()
+        reached = np.nonzero(mask)
+        seg_coords = [
+            (np.stack(reached[i * lat.n_sigma:(i + 1) * lat.n_sigma], axis=1) - r) @ steps
+            for i, r in enumerate(counts[k]._radii())
+        ]
+        got = nodes[k].at(seg_coords)
+        np.testing.assert_allclose(got, counts[k].values[mask], rtol=0, atol=tol)
+        assert nodes[k].valid_mask().sum() <= mask.sum()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 8),
@@ -148,30 +180,44 @@ def test_position_and_count_bases_agree(n, split, mode, data):
     phi = data.draw(_exprs(max_vars=len(levels)))
     lat = build_lattice(1.0, n, PARAMS)
     assert lat.basis.n_axes == 1
-    X = CylinderFunctional(levels, phi, mode=mode)
-    try:
-        with np.errstate(all="ignore"):
-            counts = _tables(lat, X, lat.count_basis)
-            positions = _tables(lat, X, lat.basis)
-    except PayoffEvalError:
-        assume(False)
-    terminal = counts[n].values[counts[n].valid_mask()]
-    assume(np.all(np.isfinite(terminal)))
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(terminal))))
-    assert abs(positions[0].value_at_origin() - counts[0].value_at_origin()) <= tol
-    for k in range(1, n + 1):
-        # look every reachable count vector up in the position table, at
-        # the position coordinates counts @ steps
-        mask = counts[k].valid_mask()
-        nodes = np.nonzero(mask)
-        steps = np.array(lat.basis.steps)
-        seg_coords = [
-            (np.stack(nodes[i * lat.n_sigma:(i + 1) * lat.n_sigma], axis=1) - r) @ steps
-            for i, r in enumerate(counts[k]._radii())
-        ]
-        got = positions[k].at(seg_coords)
-        np.testing.assert_allclose(got, counts[k].values[mask], rtol=0, atol=tol)
-        assert positions[k].valid_mask().sum() <= mask.sum()
+    _assert_bases_agree(lat, CylinderFunctional(levels, phi, mode=mode))
+
+
+ZERO_LOWER = GParams(sigma_lower_sq=0.0, sigma_upper_sq=1.0)
+CLASS_GRIDS = {  # name: (params, sigma_refinement or a sigma_grid, class axes)
+    "refined-1": (PARAMS, 1, 2),
+    "refined-2": (PARAMS, 2, 3),
+    "two-class": (PARAMS, (0.25, 0.5, 1.0), 2),
+    "zero-lower-1": (ZERO_LOWER, 1, 2),
+    "zero-lower-2": (ZERO_LOWER, 2, 3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(CLASS_GRIDS)),
+    st.integers(1, 6),
+    st.integers(0, 5),
+    st.sampled_from(["increments", "levels"]),
+    st.data(),
+)
+def test_class_and_count_bases_agree(grid, n, split, mode, data):
+    """Oracle: on grids of several classes of commensurate volatilities, the
+    class basis gives the count basis's values at every reachable node of
+    every level's conditional table; sigma = 0 takes step 0."""
+    params, refinement, n_axes = CLASS_GRIDS[grid]
+    if isinstance(refinement, tuple):
+        lat = Lattice(T=1.0, n_steps=n, params=params, sigma_grid=refinement)
+    else:
+        lat = build_lattice(1.0, n, params, sigma_refinement=refinement)
+    assert lat.basis.n_axes == n_axes
+    if lat.sigma_grid[0] == 0.0:
+        assert lat.basis.steps[0] == (0,) * n_axes
+    levels = (n,) if split == 0 or split >= n else (split, n)
+    X = CylinderFunctional(levels, data.draw(_exprs(max_vars=len(levels))), mode=mode)
+    # two four-volatility count segments at n = 6 would hold 49^4 cells
+    assume(glattice._table_cells(lat.count_basis, X.segment_lengths, n) <= 200_000)
+    _assert_bases_agree(lat, X)
 
 
 # --- memory guard -----------------------------------------------------------------
@@ -192,7 +238,8 @@ def test_guard_refuses_before_allocating(monkeypatch):
         raise AssertionError("the terminal table was built")
 
     monkeypatch.setattr(glattice, "eval_expr", never)
-    lat = build_lattice(1.0, 50, PARAMS, sigma_refinement=1)
+    # three class axes: 201 * 101 * 101 cells, about 82 MB of working set
+    lat = build_lattice(1.0, 50, PARAMS, sigma_refinement=2)
     with pytest.raises(ValueError, match="too large"):
         lattice_expect(lat, CylinderFunctional((50,), parse("abs(x1)")))
 
@@ -406,6 +453,24 @@ def test_lattice_policy_paths_take_the_recorded_choice_at_their_node():
         if k + 1 == 4:
             seg_counts.append(np.zeros((300, lat.n_sigma), dtype=np.int64))
     np.testing.assert_allclose(sum(seg_counts) @ sv, ens.B[:, n], atol=1e-12)
+
+
+def test_policy_from_another_lattice_rejected():
+    lat = build_lattice(1.0, 50, PARAMS)
+    pol = extract_worst_policy(lat, CylinderFunctional((50,), parse("x1^2")))
+    for other in (build_lattice(1.0, 100, PARAMS), build_lattice(2.0, 50, PARAMS)):
+        with pytest.raises(ValueError, match="another lattice"):
+            sample_paths(other, pol, 10, seed=0)
+
+
+def test_tables_from_another_lattice_rejected():
+    n = 8
+    lat = build_lattice(1.0, n, PARAMS)
+    tables = conditional_tables(lat, CylinderFunctional((n,), parse("x1^2"), mode="levels"),
+                                range(n + 1))
+    ens = sample_paths(build_lattice(2.0, n, PARAMS), ConstantPolicy(1.0), 10, seed=0)
+    with pytest.raises(ValueError, match="level 0 was built on another lattice"):
+        eval_tables_on_paths(tables, ens)
 
 
 def _reference_paths(lat, pol, n_paths, seed):

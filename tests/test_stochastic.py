@@ -131,6 +131,11 @@ def test_g_compensated_dominance_guard():
         g_compensated(StepProcess.constant(1.0), ENS, PARAMS, A=A)
 
 
+def test_g_compensated_rejects_another_band():
+    with pytest.raises(ValueError, match="band"):
+        g_compensated(StepProcess.constant(1.0), ENS, GParams(0.5, 1.0))
+
+
 def _column_fill(eta, ens):
     """Reference values: one column per level, each from its interval's
     value at the interval's left endpoint."""
