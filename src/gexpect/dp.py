@@ -10,8 +10,9 @@ lattice's node basis (:attr:`gexpect.glattice.Lattice.basis`, through
 holds the position and paths that reach the same position merge.  One
 transition (``_shift_walk``) moves such blocks, one per nonzero integrand
 value for a step integrand, with per-volatility step totals for the
-quadratic variation; ``adapted_abs_walk`` adds scaled integer units for a
-running integral.  ``coord_walk`` alone keeps net counts per volatility
+quadratic variation; ``adapted_abs_walk`` adds to that move one exact
+integer sum per pair of axes for the running integral of an adapted
+integrand.  ``coord_walk`` alone keeps net counts per volatility
 (``lat.count_basis``), because the benchmark's dual walk reads its states
 as counts.
 
@@ -236,7 +237,7 @@ def _shift_walk(lat: Lattice, moves, totals=None, basis: NodeBasis | None = None
     moves[b, k].  Where the bool (n_steps,) mask ``totals`` is given, the
     state ends with one step total per volatility but the last, counted on
     the levels it marks.  A level that moves nothing returns the states
-    object itself.
+    object itself.  Columns past the blocks and totals are copied unchanged.
     """
     steps, _ = basis_axes(lat, basis)
     a = steps.shape[1]
@@ -343,51 +344,45 @@ def weighted_coord_walk(lat: Lattice, level_values,
     )
 
 
-def _integral_scale(unit, sigma_values) -> float:
-    """Units per dt of the scaled integral sum_k |B_k| dB_k: 4 when every
-    unit_a * sigma_i * 4 is an integer, so that the rounding in
-    ``adapted_abs_walk``'s transition is exact; else 2**20."""
-    rates = np.multiply.outer(unit, sigma_values) * 4.0
-    if np.allclose(rates, np.round(rates), rtol=0, atol=1e-12):
-        return 4.0
-    return float(2**20)
-
-
 def adapted_abs_walk(lat: Lattice, basis: NodeBasis | None = None) -> WalkSpec:
     """State for the running integral of (|B| + 1) against the path.
 
-    The integral splits as sum_k |B_k| dB_k + B, so the state is the
-    position axes of ``basis`` plus one scaled integer u with
-    sum_k |B_k| dB_k = u * dt / scale.  A step at volatility sigma_i adds
-    +-|B_k / sqrt(dt)| * sigma_i * scale units, rounded, where B_k / sqrt(dt)
-    is an integer combination of the units: exact when every
-    unit_a * sigma_i * scale is an integer (on the default band u = 0.5 and
-    scale = 4); otherwise the scaled units quantize the integral at
-    resolution dt / scale.
+    The integral splits as sum_k |B_k| dB_k + B.  With B_k / sqrt(dt) =
+    c . unit and dB_k = +-(steps[i] . unit) sqrt(dt), a step adds
+    +-sign(c . unit) * c_a * steps[i, b] * unit_a * unit_b * dt over the axis
+    pairs (a, b), so the state is the position axes of ``basis`` plus one
+    integer sum per unordered pair {a, b}, and decode is exact on every band.
+    On the default band the state is (p, sum_k +-|p_k| * q_k), one unit of
+    whose sum is dt / 4.  Where c . unit is 0 nothing is added; should
+    roundoff give it a sign, the added terms cancel in the weighted sum.
     """
     steps, unit = basis_axes(lat, basis)
-    a = steps.shape[1]
-    sv = np.asarray(lat.sigma_values)
+    a = unit.size
+    ia, ib = np.triu_indices(a)
     w = unit * math.sqrt(lat.dt)
-    dt = lat.dt
-    scale = _integral_scale(unit, sv)
+    pair_w = unit[ia] * unit[ib] * lat.dt
+    # gain[i][x, p]: what axis x adds to pair p's sum per unit of sign(B)
+    # at a step of choice i
+    gain = np.zeros((len(steps), a, ia.size), dtype=np.int64)
+    for p, (x, y) in enumerate(zip(ia, ib)):
+        gain[:, x, p] += steps[:, y]
+        if x != y:
+            gain[:, y, p] += steps[:, x]
+    move, _ = _shift_walk(lat, [np.ones(lat.n_steps, dtype=bool)], basis=basis)
 
     def transition(level, states, i, sign):
-        out = states.copy()
-        pos_units = states[:, :a] @ unit  # position / sqrt(dt)
-        du = np.rint(np.abs(pos_units) * sv[i] * scale).astype(np.int64)
-        out[:, a] += sign * du
-        out[:, :a] += sign * steps[i]
+        c = states[:, :a]
+        out = move(level, states, i, sign)
+        out[:, a:] += (np.sign(c @ unit).astype(np.int64)[:, None] * c) @ (sign * gain[i])
         return out
 
     def decode(states):
         pos = states[:, :a] @ w
-        integral = states[:, a] * (dt / scale) + pos
-        return pos, integral
+        return pos, states[:, a:] @ pair_w + pos
 
     return WalkSpec(
         lattice=lat,
-        init_state=np.zeros(a + 1, dtype=np.int64),
+        init_state=np.zeros(a + ia.size, dtype=np.int64),
         transition=transition,
         terminal=lambda s: decode(s)[1],
         decode=decode,

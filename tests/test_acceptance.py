@@ -5,10 +5,16 @@ lines are printed outside pytest's capture so the summary is visible in a
 plain ``pytest -v`` run.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import gexpect
 from gexpect.config import RunConfig
-from gexpect.verifier import CHECKS, reports_to_json, run_suite
+from gexpect.verifier import CHECKS
 
 CFG = RunConfig(timing=False)
 
@@ -147,12 +153,29 @@ def test_criterion_11_compensator(capsys):
              f"f in {{1, -1, B}}, per-path 1e-12 / DP 1e-8, {elapsed:.2f}s < 30s")
 
 
-def test_criterion_12_determinism(capsys):
-    first, fail1 = run_suite(CFG)
-    second, fail2 = run_suite(CFG)
-    json1 = reports_to_json(first)
-    json2 = reports_to_json(second)
-    ok = (json1.encode() == json2.encode()) and fail1 == 0 and fail2 == 0
-    _verdict(capsys, 12, "byte-identical reports on rerun", ok,
-             f"{len(json1.encode())} bytes x 2 runs, {fail1}+{fail2} "
-             f"unexpected outcomes")
+def test_criterion_12_determinism(capsys, tmp_path):
+    # two fresh interpreters, started together, under different hash seeds
+    src = str(Path(gexpect.__file__).resolve().parent.parent)
+    children = []
+    for seed in (1, 2):
+        out = tmp_path / f"hashseed{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gexpect.cli", "verify", "--no-timing", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        children.append((out / "report.json", proc))
+    reports = []
+    for path, proc in children:
+        _, err = proc.communicate()
+        # exit 1 reports unexpected outcomes, which the verdict counts
+        assert proc.returncode in (0, 1), f"verify exited {proc.returncode}:\n{err}"
+        reports.append(path.read_bytes())
+    json1, json2 = reports
+    fails = [sum(r["pass"] == r["expected_fail"] for r in json.loads(j)) for j in reports]
+    ok = json1 == json2 and fails == [0, 0]
+    _verdict(capsys, 12, "byte-identical reports across fresh processes", ok,
+             f"{len(json1)} bytes x 2 runs, PYTHONHASHSEED 1 and 2, "
+             f"{fails[0]}+{fails[1]} unexpected outcomes")

@@ -96,8 +96,13 @@ def test_weighted_coord_walk_matches_brute_force():
         weighted_coord_walk(lat, np.ones(3))
 
 
-def test_adapted_abs_walk_matches_brute_force():
-    lat = build_lattice(1.0, 4, PARAMS)
+@pytest.mark.parametrize("lat", [
+    build_lattice(1.0, 4, PARAMS),
+    build_lattice(1.0, 4, GParams(0.3, 1.2)),
+    build_lattice(1.0, 4, GParams(0.1, 1.0)),
+    build_lattice(1.0, 4, PARAMS, sigma_refinement=1),
+], ids=["default", "one-class-0.3-1.2", "two-class-0.1-1", "refined"])
+def test_adapted_abs_walk_matches_brute_force(lat):
     spec = adapted_abs_walk(lat)
     decode = spec.decode
     spec.terminal = lambda s: decode(s)[1] ** 2
@@ -286,30 +291,15 @@ def test_position_and_count_bases_agree(params, n):
             assert pos.stops[n][0].shape[0] < cnt.stops[n][0].shape[0]
 
 
-def test_adapted_abs_rounding_is_exact_on_default_band(monkeypatch):
-    # u = 0.5 and scale 4: every rounded increment is already an integer
-    rint = np.rint
-    exact = []
-
-    def checked(x, *args, **kwargs):
-        out = rint(x, *args, **kwargs)
-        exact.append(np.array_equal(out, x))
-        return out
-
-    monkeypatch.setattr(np, "rint", checked)
-    lat = build_lattice(1.0, 12, PARAMS)
-    spec = adapted_abs_walk(lat)
-    run_walk(replace(spec, terminal=lambda s, d=spec.decode: d(s)[1] ** 2))
-    assert len(exact) == 2 * lat.n_sigma * 12 and all(exact)
-
-
-def test_adapted_abs_scale_falls_back_when_rounding_is_inexact():
-    # sqrt(0.3) * sqrt(1.2) * 4 is no integer: the integral's unit is dt / 2**20
-    lat = build_lattice(1.0, 4, GParams(0.3, 1.2))
-    spec = adapted_abs_walk(lat)
-    one_unit = np.zeros((1, spec.init_state.size), dtype=np.int64)
-    one_unit[0, -1] = 1
-    assert spec.decode(one_unit)[1][0] == lat.dt / 2**20
+def test_adapted_abs_pair_sum_units():
+    # one integer sum per pair of axes; one unit of a sum is unit_a * unit_b * dt
+    for params, weight in ((PARAMS, lambda lat: lat.dt / 4),
+                           (GParams(0.3, 1.2), lambda lat: lat.basis.unit[0] ** 2 * lat.dt)):
+        lat = build_lattice(1.0, 4, params)
+        spec = adapted_abs_walk(lat)
+        assert spec.init_state.shape == (2,)
+        pos, integral = spec.decode(np.array([[0, 1]], dtype=np.int64))
+        assert pos[0] == 0.0 and integral[0] == weight(lat)
 
 
 def _walk_bytes(stops, n, n_children):

@@ -143,6 +143,15 @@ def test_run_suite_counts_unexpected_outcomes():
     assert any(r.expected_fail and not r.passed for r in reports)
 
 
+@pytest.mark.parametrize("sigma_lower_sq", [0.1, 0.5])
+def test_representation_passes_off_the_default_band(sigma_lower_sq):
+    # the adapted walk's integral is exact on bands of one or two classes
+    reports, failures = run_suite(
+        RunConfig(timing=False, sigma_lower_sq=sigma_lower_sq), only=["representation"]
+    )
+    assert failures == 0, [r.check_id for r in reports if r.passed == r.expected_fail]
+
+
 def test_run_suite_rejects_unknown_ids():
     with pytest.raises(KeyError):
         run_suite(CFG, only=["not-a-check"])
