@@ -25,6 +25,7 @@ from .glattice import (
     conditional_tables,
     extract_worst_policy,
     lattice_expect,
+    sample_blocks,
     sample_paths,
 )
 from .payoff import eval_expr, parse, to_str

@@ -28,7 +28,7 @@ from .glattice import (
     ensemble_to_csv,
     extract_worst_policy,
     lattice_expect,
-    sample_paths,
+    sample_blocks,
 )
 from .payoff import PayoffSyntaxError, arity, parse
 from .verifier import (CHECKS, VerificationReport, reports_to_json,
@@ -180,9 +180,20 @@ def cmd_conditional(args) -> int:
     return 0
 
 
+# simulate streams its paths in row blocks, so its memory stays small whatever
+# n_paths is; it refuses a CSV beyond _MAX_CSV_BYTES at about _CSV_ROW_BYTES a
+# row (two ids and four float reprs) before it draws a path.
+_CSV_ROW_BYTES = 80
+_MAX_CSV_BYTES = 16 << 30
+
+
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     out = _output(args.csv or os.path.join(cfg.out_dir, "paths.csv"))
+    need = _CSV_ROW_BYTES * cfg.n_paths * (cfg.n_steps + 1)
+    if need > _MAX_CSV_BYTES:
+        raise ValueError(f"ensemble too large (about {need} bytes of CSV); "
+                         "reduce n_paths or n_steps")
     lat = build_lattice(_horizon(args, cfg), cfg.n_steps, cfg.params,
                         cfg.sigma_refinement)
     if args.policy.startswith("worst:"):
@@ -192,9 +203,8 @@ def cmd_simulate(args) -> int:
     else:
         family = default_scenario_family(cfg.params)
         policy = family.by_name(args.policy)
-    ens = sample_paths(lat, policy, cfg.n_paths, cfg.seed)
-    ensemble_to_csv(ens, out)
-    print(f"wrote {ens.n_paths} paths to {out}")
+    n_written = ensemble_to_csv(sample_blocks(lat, policy, cfg.n_paths, cfg.seed), out)
+    print(f"wrote {n_written} paths to {out}")
     return 0
 
 

@@ -39,10 +39,9 @@ which are reachable, so the finite values at other nodes never reach it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -63,6 +62,7 @@ __all__ = [
     "LatticePolicy",
     "PathEnsemble",
     "sample_paths",
+    "sample_blocks",
     "eval_tables_on_paths",
     "ensemble_to_csv",
 ]
@@ -78,6 +78,8 @@ _STEP_BYTES_PER_CELL = 40
 # volatilities; a sigma that is no such multiple of a larger one's unit
 # starts a class of its own.
 _MAX_STEP = 16
+# Paths per block of ``sample_blocks``: 1.6 MB per (rows, 101) float64 array.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -591,11 +593,32 @@ def sample_paths(
     at its current node.  Every other policy gives its rates as a
     ``schedule``: the steps are one broadcast product and ``B`` is their
     running sum along each path.  A ``LatticePolicy`` extracted on another
-    lattice than ``lat`` is refused.
+    lattice than ``lat`` is refused.  This is ``sample_blocks`` with the whole
+    ensemble as its one block.
     """
+    (ens,) = _blocks(lat, policy, n_paths, seed, n_paths)
+    return ens
+
+
+def sample_blocks(lat: Lattice, policy: VolatilityPolicy, n_paths: int,
+                  seed: int):
+    """The ensemble of ``sample_paths``, yielded as row blocks of at most
+    ``_BLOCK_ROWS`` paths in path order; their rows have its bits.
+
+    One generator draws the blocks' step signs one after another, so a
+    consumer that reduces each block to per-path values holds one block's
+    arrays at a time.  Arguments are checked before this returns.
+    """
+    return _blocks(lat, policy, n_paths, seed, _BLOCK_ROWS)
+
+
+def _blocks(lat: Lattice, policy: VolatilityPolicy, n_paths: int, seed: int,
+            rows: int):
+    """Check the arguments, then return a generator of row blocks of at most
+    ``rows`` paths; the memory guard applies to one block."""
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    need = 25 * n_paths * lat.n_steps  # peak: about 3.1 full float64 arrays
+    need = 25 * min(rows, n_paths) * lat.n_steps  # peak: about 3.1 full float64 arrays
     if need > _MAX_WORKSET_BYTES:
         raise ValueError(
             f"ensemble too large (about {need} bytes at its peak); "
@@ -604,25 +627,36 @@ def sample_paths(
     if isinstance(policy, LatticePolicy):
         if policy.lattice != lat:
             raise ValueError("the policy was extracted on another lattice")
-        B, sig = _sample_stepwise(lat, policy, n_paths, seed)
+        sample = partial(_sample_stepwise, lat, policy)
     else:
-        B, sig = _sample_scheduled(lat, policy.schedule(lat.n_steps), n_paths, seed)
-    return PathEnsemble(
-        lattice=lat, policy_name=policy.name, seed=seed, B=B, sigma_sq=sig
-    )
-
-
-def _signs(n_paths: int, n: int, seed: int) -> np.ndarray:
-    """The seed's +-1 step signs, (n_paths, n) int8."""
+        sample = partial(_sample_scheduled, lat,
+                         _checked_schedule(lat, policy.schedule(lat.n_steps)))
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(n_paths, n)).astype(np.int8)
+
+    def blocks():
+        for start in range(0, n_paths, rows):
+            B, sig = sample(rng, min(rows, n_paths - start))
+            yield PathEnsemble(lattice=lat, policy_name=policy.name, seed=seed,
+                               B=B, sigma_sq=sig)
+
+    return blocks()
+
+
+def _signs(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The generator's next m rows of +-1 step signs, (m, n) int8.
+
+    Rows drawn block after block from one generator equal one draw of all of
+    them: each integer in [0, 2) comes from the generator's buffered 32-bit
+    stream, which carries over between calls.
+    """
+    signs = rng.integers(0, 2, size=(m, n)).astype(np.int8)
     signs *= 2
     signs -= 1
     return signs
 
 
-def _sample_scheduled(lat: Lattice, schedule, n_paths: int, seed: int):
-    """B and sigma_sq for a policy whose rates depend on the level alone."""
+def _checked_schedule(lat: Lattice, schedule) -> np.ndarray:
+    """A policy's per-level rates as an (n_steps,) array inside the band."""
     n = lat.n_steps
     s2 = np.asarray(schedule, dtype=float)
     if s2.shape != (n,):
@@ -631,30 +665,36 @@ def _sample_scheduled(lat: Lattice, schedule, n_paths: int, seed: int):
     bad = np.flatnonzero(~((s2 >= lo) & (s2 <= hi)))  # NaN included
     if bad.size:
         raise ValueError(f"policy value outside the band at step {bad[0]}")
-    B = np.zeros((n_paths, n + 1))
-    np.multiply(_signs(n_paths, n, seed), np.sqrt(s2 * lat.dt), out=B[:, 1:])
+    return s2
+
+
+def _sample_scheduled(lat: Lattice, s2: np.ndarray, rng, m: int):
+    """B and sigma_sq of m paths under the level-only rates s2."""
+    n = lat.n_steps
+    B = np.zeros((m, n + 1))
+    np.multiply(_signs(rng, m, n), np.sqrt(s2 * lat.dt), out=B[:, 1:])
     # accumulate adds left to right from B[:, 0] = 0, as the loop does
     np.cumsum(B, axis=1, out=B)
-    sig = np.empty((n_paths, n))
+    sig = np.empty((m, n))
     sig[:] = s2
     return B, sig
 
 
-def _sample_stepwise(lat: Lattice, policy: LatticePolicy, n_paths: int,
-                     seed: int):
-    """B and sigma_sq under a node-indexed policy, one level at a time.
+def _sample_stepwise(lat: Lattice, policy: LatticePolicy, rng, m: int):
+    """B and sigma_sq of m paths under a node-indexed policy, one level at a
+    time.
 
     The signs, B and sigma_sq are held level-major, so each step reads and
     writes contiguous rows; each buffer is freed as soon as its path-major
     transpose is written, which keeps the peak at three full arrays.
     """
     n, dt = lat.n_steps, lat.dt
-    signs_t = np.ascontiguousarray(_signs(n_paths, n, seed).T)
+    signs_t = np.ascontiguousarray(_signs(rng, m, n).T)
     grid = np.asarray(lat.sigma_grid)
-    B_t = np.zeros((n + 1, n_paths))
-    sig_t = np.empty((n, n_paths))
-    seg_counts = [np.zeros((n_paths, lat.n_sigma), dtype=np.int64)]
-    flat_rows = np.arange(n_paths) * lat.n_sigma
+    B_t = np.zeros((n + 1, m))
+    sig_t = np.empty((n, m))
+    seg_counts = [np.zeros((m, lat.n_sigma), dtype=np.int64)]
+    flat_rows = np.arange(m) * lat.n_sigma
 
     for k in range(n):
         sidx = np.asarray(policy.sigma_index(k, seg_counts), dtype=np.int64)
@@ -664,7 +704,7 @@ def _sample_stepwise(lat: Lattice, policy: LatticePolicy, n_paths: int,
         # one flat gather-scatter costs a third of a (rows, sidx) one
         seg_counts[-1].reshape(-1)[flat_rows + sidx] += signs_t[k]
         if (k + 1) in policy.anchors and (k + 1) < n:
-            seg_counts.append(np.zeros((n_paths, lat.n_sigma), dtype=np.int64))
+            seg_counts.append(np.zeros((m, lat.n_sigma), dtype=np.int64))
 
     del signs_t, seg_counts
     B = np.ascontiguousarray(B_t.T)
@@ -711,17 +751,28 @@ def eval_tables_on_paths(tables: dict, ens: PathEnsemble) -> np.ndarray:
 # --- CSV export -------------------------------------------------------------
 
 
-def ensemble_to_csv(ens: PathEnsemble, path: str) -> None:
-    """Columns: path_id, step, t, B, sigma_sq, qv (sigma_sq blank at horizon)."""
-    qv = ens.qv
-    times = ens.times
+def ensemble_to_csv(blocks, path: str) -> int:
+    """Columns: path_id, step, t, B, sigma_sq, qv (sigma_sq blank at horizon).
+
+    ``blocks`` is one ``PathEnsemble`` or its row blocks in path order (as
+    ``sample_blocks`` yields them); ids run on across blocks.  Each path's
+    rows are formatted as one string, with the float ``repr`` of every value
+    and ``\\r\\n`` line ends.  Returns the number of paths written.
+    """
+    if isinstance(blocks, PathEnsemble):
+        blocks = (blocks,)
+    n_written = 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "step", "t", "B", "sigma_sq", "qv"])
-        for p in range(ens.n_paths):
-            for k in range(ens.lattice.n_steps + 1):
-                s = repr(float(ens.sigma_sq[p, k])) if k < ens.lattice.n_steps else ""
-                w.writerow(
-                    [p, k, repr(float(times[k])), repr(float(ens.B[p, k])), s,
-                     repr(float(qv[p, k]))]
-                )
+        fh.write("path_id,step,t,B,sigma_sq,qv\r\n")
+        for ens in blocks:
+            # ",k,t," per step, shared by every path
+            steps = [f",{k},{t!r}," for k, t in enumerate(ens.times.tolist())]
+            for B, sig, qv in zip(ens.B.tolist(), ens.sigma_sq.tolist(),
+                                  ens.qv.tolist()):
+                sig = [repr(v) for v in sig] + [""]
+                fh.write("".join(
+                    f"{n_written}{h}{b!r},{s},{q!r}\r\n"
+                    for h, b, s, q in zip(steps, B, sig, qv)
+                ))
+                n_written += 1
+    return n_written

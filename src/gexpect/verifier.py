@@ -12,10 +12,14 @@ a check's lattice follows the config), ``_node_gap`` (largest |table - targets|
 over a conditional table's reachable nodes), ``_walk_gap`` (largest nodewise
 |E[F_n + rewards | H_l] - F_l| over the stop levels l of an augmented walk),
 ``_asymmetry`` (largest |E[F_n | H_s] + E[-F_n | H_s]|, zero for a symmetric
-martingale), and ``_ensembles`` with ``_scenario_max`` for scenario-max Monte
-Carlo.  A check samples each (policy, seed) ensemble once and evaluates all
-its integrands on it; every sample seeds its own generator, so no value
-depends on the order of the integrands.
+martingale), and ``_ensembles`` with ``_per_path``, ``_means``,
+``_scenario_max`` and ``_largest`` for scenario-max Monte Carlo.  A check
+samples each (policy, seed) ensemble once, as row blocks of
+``glattice.sample_blocks``, and evaluates all its integrands on each block;
+every sample seeds its own generator, so no value depends on the order of the
+integrands.  A check reduces each block to per-path vectors and takes a mean
+once over the whole ensemble's vector, so every value has the bits of the
+unblocked ensemble; a maximum is exact, so it is taken block by block.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .glattice import (
     conditional_tables,
     eval_tables_on_paths,
     lattice_expect,
-    sample_paths,
+    sample_blocks,
 )
 from .payoff import eval_expr, parse
 from .stochastic import StepProcess, g_compensated, ito_integral, qv_identity_gap
@@ -122,17 +126,36 @@ def _grid_aligned_scenarios(family):
 
 
 def _ensembles(lat, policies, n_paths, *seeds):
-    """One ensemble per (seed, policy), drawn lazily: the i-th policy is
-    sampled with seed + i."""
+    """One ensemble per (seed, policy), each an iterator of row blocks, drawn
+    lazily: the i-th policy is sampled with seed + i."""
     for seed in seeds:
         for i, pol in enumerate(policies):
-            yield sample_paths(lat, pol, n_paths, seed + i)
+            yield sample_blocks(lat, pol, n_paths, seed + i)
+
+
+def _per_path(blocks, measure):
+    """Each per-path vector of ``measure(block)``, concatenated over one
+    ensemble's row blocks in path order."""
+    return [np.concatenate(col) for col in zip(*map(measure, blocks))]
+
+
+def _means(blocks, measure):
+    """Mean over one ensemble of each per-path vector of ``measure(block)``,
+    taken once on the whole vector: a mean of block means would move bits."""
+    return [float(np.mean(v)) for v in _per_path(blocks, measure)]
 
 
 def _scenario_max(ensembles, measure):
-    """Scenario max of each entry of ``measure(ens)``: every ensemble is drawn
-    once and all its quantities are read from it."""
-    return [max(col) for col in zip(*map(measure, ensembles))]
+    """Scenario max of each of ``_means(blocks, measure)``: every ensemble is
+    drawn once and all its quantities are read from it."""
+    return [max(col) for col in zip(*(_means(b, measure) for b in ensembles))]
+
+
+def _largest(ensembles, measure):
+    """Largest value of each entry of ``measure(block)`` over every row block
+    of every ensemble."""
+    blocks = (b for ens in ensembles for b in ens)
+    return [max(col) for col in zip(*map(measure, blocks))]
 
 
 def _node_gap(table, *targets):
@@ -318,9 +341,10 @@ def check_qv_identity(cfg: RunConfig):
     tol = cfg.tol.get("qv-identity", 1e-12)
     n_paths = min(cfg.n_paths, 10000)
     eta = StepProcess.adapted(lambda x: x, 100, name="B")
-    worst = max(
-        max(qv_identity_gap(ens.B, ens), qv_identity_gap(ito_integral(eta, ens), ens))
-        for ens in _ensembles(lat, family, n_paths, cfg.seed)
+    (worst,) = _largest(
+        _ensembles(lat, family, n_paths, cfg.seed),
+        lambda ens: [max(qv_identity_gap(ens.B, ens),
+                         qv_identity_gap(ito_integral(eta, ens), ens))],
     )
     return [_report("qv-identity", "equality", worst, 0.0, tol, "mc-paths",
                     seed=cfg.seed, n_paths=n_paths)]
@@ -333,12 +357,13 @@ def check_qv_band(cfg: RunConfig):
     lo, hi = params.sigma_lower_sq * lat.dt, params.sigma_upper_sq * lat.dt
     n_paths = min(cfg.n_paths, 10000)
 
-    def p_outside(ens):
+    def outside(ens):
         dqv = ens.d_qv
-        return float(np.mean(np.any((dqv < lo) | (dqv > hi), axis=1)))
+        return [np.any((dqv < lo) | (dqv > hi), axis=1)]
 
     cap = capacity_estimate(
-        [p_outside(ens) for ens in _ensembles(lat, family, n_paths, cfg.seed + 100)]
+        [_means(blocks, outside)[0]
+         for blocks in _ensembles(lat, family, n_paths, cfg.seed + 100)]
     )
     return [_report("qv-band", "equality", cap, 0.0, 0.0, "mc-paths",
                     seed=cfg.seed, n_paths=n_paths)]
@@ -408,13 +433,13 @@ def check_doob(cfg: RunConfig):
     ]
 
     def running_maxima(ens):
-        """E[max_k |X_k|^p] for X = int 1 dB = B and X = int 1[0,T/2) dB.  The
-        indicator's integral equals B's up to level n/2 and is flat after it,
-        so one integral gives both maxima."""
+        """max_k |X_k|^p per path for X = int 1 dB = B and X = int 1[0,T/2) dB.
+        The indicator's integral equals B's up to level n/2 and is flat after
+        it, so one integral gives both maxima."""
         run = np.abs(ito_integral(StepProcess.constant(1.0), ens))
         half = np.max(run[:, : n // 2 + 1], axis=1)
         full = np.maximum(half, np.max(run[:, n // 2 + 1:], axis=1))
-        return [float(np.mean(full**p)), float(np.mean(half**p))]
+        return [full**p, half**p]
 
     lhs = _scenario_max(_ensembles(lat, family, n_paths, 1000, 2000, 3000),
                         running_maxima)
@@ -444,12 +469,14 @@ def _downcrossings_many(paths: np.ndarray, a: float, b: float) -> np.ndarray:
     return count
 
 
-def _most_downcrossings(paths_per_scenario, a, b):
+def _most_downcrossings(ensembles, process, a, b):
     """Mean downcrossing count of [a, b] in the scenario with the largest mean,
-    and its standard error; each item is one scenario's (n_paths, n+1) paths."""
+    and its standard error; ``process(block)`` gives a row block's
+    (rows, n+1) paths of the process."""
     means, ses = [], []
-    for paths in paths_per_scenario:
-        counts = _downcrossings_many(paths, a, b)
+    for blocks in ensembles:
+        (counts,) = _per_path(
+            blocks, lambda ens: [_downcrossings_many(process(ens), a, b)])
         means.append(float(np.mean(counts)))
         ses.append(float(np.std(counts) / math.sqrt(len(counts))))
     j = int(np.argmax(means))
@@ -470,9 +497,8 @@ def check_downcrossing(cfg: RunConfig):
     x0 = tables[0].value_at_origin()
     bound = min(x0, b) / (b - a)
     mean, se = _most_downcrossings(
-        (eval_tables_on_paths(tables, ens) for ens in _ensembles(
-            lat, _grid_aligned_scenarios(family), n_paths, cfg.seed + 300)),
-        a, b,
+        _ensembles(lat, _grid_aligned_scenarios(family), n_paths, cfg.seed + 300),
+        lambda ens: eval_tables_on_paths(tables, ens), a, b,
     )
     reports.append(
         _report("downcrossing:envelope", "inequality", mean, bound + 3 * se, 0.0,
@@ -491,9 +517,8 @@ def check_downcrossing(cfg: RunConfig):
     # catalogue entry: 2 + (<B> - t), a decreasing positive supermartingale
     a2, b2 = 1.0, 1.5
     mean2, se2 = _most_downcrossings(
-        (2.0 + ens.qv - ens.times[None, :]
-         for ens in _ensembles(lat, family, n_paths, cfg.seed + 400)),
-        a2, b2,
+        _ensembles(lat, family, n_paths, cfg.seed + 400),
+        lambda ens: 2.0 + ens.qv - ens.times[None, :], a2, b2,
     )
     bound2 = min(2.0, b2) / (b2 - a2)
     reports.append(
@@ -518,8 +543,8 @@ def check_bdg(cfg: RunConfig):
     ]
 
     def measure(ens):
-        """Per integrand: E[max |int eta dB|^2], E[int eta^2 dA] with A = t,
-        and E[int eta^2 d<B>].  The indicator's integral equals const1's up
+        """Per integrand and path: max |int eta dB|^2, int eta^2 dA with A = t,
+        and int eta^2 d<B>.  The indicator's integral equals const1's up
         to level n/2 and is flat after it, so one integral gives both of
         their running maxima."""
         dqv = ens.d_qv
@@ -532,9 +557,7 @@ def check_bdg(cfg: RunConfig):
         out = []
         for (_, eta), m in zip(specs, maxima):
             vals = eta.values_on(ens)
-            out += [float(np.mean(m**2)),
-                    float(np.mean(np.sum(vals**2 * dt, axis=1))),
-                    float(np.mean(np.sum(vals**2 * dqv, axis=1)))]
+            out += [m**2, np.sum(vals**2 * dt, axis=1), np.sum(vals**2 * dqv, axis=1)]
         return out
 
     best = _scenario_max(_ensembles(lat, family, n_paths, cfg.seed + 500), measure)
@@ -635,8 +658,8 @@ def check_representation(cfg: RunConfig):
                     tol, "augmented-DP", **{f"gap_{k}": v for k, v in gaps.items()})
         )
         # reverse direction: per-path recovery of the driver
-        rec = max(_recovery_gap(eta, ens)
-                  for ens in _ensembles(spec.lattice, scen, 2000, cfg.seed + 700))
+        (rec,) = _largest(_ensembles(spec.lattice, scen, 2000, cfg.seed + 700),
+                          lambda ens, eta=eta: [_recovery_gap(eta, ens)])
         reports.append(
             _report(f"representation-recovery:{name}", "equality", rec, 0.0,
                     tol_path, "mc-paths", seed=cfg.seed, n_paths=2000)
@@ -683,8 +706,8 @@ def check_gbm_characterization(cfg: RunConfig):
     lower = -lattice_expect(lat, CylinderFunctional((n,), parse("-(x1^2)")))
     g_low = abs(lower - params.sigma_lower_sq * T)
 
-    inc = max(float(np.max(np.abs(np.diff(ens.B, axis=1))))
-              for ens in _ensembles(lat, family, 2000, cfg.seed + 800))
+    (inc,) = _largest(_ensembles(lat, family, 2000, cfg.seed + 800),
+                      lambda ens: [float(np.max(np.abs(np.diff(ens.B, axis=1))))])
     bound = math.sqrt(params.sigma_upper_sq * lat.dt)
     worst = max(g_sym, g_quad, g_low, max(inc - bound, 0.0))
     reports.append(
@@ -854,7 +877,7 @@ def check_compensator(cfg: RunConfig):
         ("B", StepProcess.adapted(lambda x: x, n, name="B"), walk_b, walk_b.decode),
     ]
     # per-path monotonicity across every scenario
-    worst_inc = _scenario_max(
+    worst_inc = _largest(
         _ensembles(lat, family, n_paths, cfg.seed + 900),
         lambda ens: [float(np.max(np.diff(g_compensated(f, ens, params), axis=1)))
                      for _, f, _, _ in cases],

@@ -1,11 +1,21 @@
 import argparse
 import csv
+import filecmp
 import json
 
 import pytest
 
 from gexpect import cli
 from gexpect.cli import main
+from gexpect.config import RunConfig
+from gexpect.gcore import default_scenario_family
+from gexpect.glattice import (
+    CylinderFunctional,
+    build_lattice,
+    extract_worst_policy,
+    sample_paths,
+)
+from gexpect.payoff import parse
 
 
 def test_expect_both_backends(capsys):
@@ -273,6 +283,40 @@ def test_simulate_named_and_worst_policies(tmp_path, capsys):
     rc = main(["simulate", "--policy", "no-such-policy", "--n-steps", "10",
                "--n-paths", "5", "--csv", str(out)])
     assert rc == 2
+
+
+def _csv_one_row_per_step(ens, path):
+    """The CSV writer before paths were streamed: one csv.writer row per step."""
+    qv = ens.qv
+    times = ens.times
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path_id", "step", "t", "B", "sigma_sq", "qv"])
+        for p in range(ens.n_paths):
+            for k in range(ens.lattice.n_steps + 1):
+                s = repr(float(ens.sigma_sq[p, k])) if k < ens.lattice.n_steps else ""
+                w.writerow(
+                    [p, k, repr(float(times[k])), repr(float(ens.B[p, k])), s,
+                     repr(float(qv[p, k]))]
+                )
+
+
+@pytest.mark.parametrize("policy", ["alternating", "worst:x1^3"])
+def test_simulate_streams_the_csv_of_the_whole_ensemble(tmp_path, capsys, policy):
+    n, n_paths = 6, 2100  # two row blocks
+    out, oracle = tmp_path / "paths.csv", tmp_path / "oracle.csv"
+    rc = main(["simulate", "--policy", policy, "--n-steps", str(n),
+               "--n-paths", str(n_paths), "--seed", "4", "--csv", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(f"wrote {n_paths} paths")
+    cfg = RunConfig()
+    lat = build_lattice(cfg.horizon, n, cfg.params)
+    if policy.startswith("worst:"):
+        pol = extract_worst_policy(lat, CylinderFunctional((n,), parse(policy[6:])))
+    else:
+        pol = default_scenario_family(cfg.params).by_name(policy)
+    _csv_one_row_per_step(sample_paths(lat, pol, n_paths, 4), oracle)
+    assert filecmp.cmp(out, oracle, shallow=False)
 
 
 def test_verify_report_round_trip(tmp_path, capsys):

@@ -24,6 +24,7 @@ from gexpect.glattice import (
     eval_tables_on_paths,
     extract_worst_policy,
     lattice_expect,
+    sample_blocks,
     sample_paths,
 )
 from gexpect.payoff import PayoffEvalError, eval_expr, parse
@@ -424,6 +425,45 @@ def test_sampler_refuses_an_ensemble_beyond_the_workset_guard(monkeypatch):
     monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 25 * n_paths * n)
     with pytest.raises(AssertionError, match="signs drawn"):
         sample_paths(lat, ConstantPolicy(1.0), n_paths, seed=0)
+
+
+def test_row_blocks_of_one_generator_are_one_draw():
+    # sample_blocks rests on this: a numpy whose bounded draws restart per
+    # call would change every blocked ensemble's bits
+    for shape, rows in (((5000, 7), 2048), ((5, 5), 3), ((9, 100), 4)):
+        whole = np.random.default_rng(11).integers(0, 2, size=shape)
+        rng = np.random.default_rng(11)
+        parts = [rng.integers(0, 2, size=(min(rows, shape[0] - i), shape[1]))
+                 for i in range(0, shape[0], rows)]
+        assert np.array_equal(np.concatenate(parts), whole), (
+            f"blocked rng.integers draws differ from one draw at {shape}")
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_sample_blocks_have_the_bits_of_sample_paths(n):
+    lat = build_lattice(1.0, n, PARAMS)
+    worst = extract_worst_policy(lat, CylinderFunctional((n,), parse("abs(x1)")))
+    alternating = default_scenario_family(PARAMS).by_name("alternating")
+    n_paths = 5000  # not a multiple of the block
+    for pol in (alternating, worst):
+        whole = sample_paths(lat, pol, n_paths, seed=13)
+        blocks = list(sample_blocks(lat, pol, n_paths, seed=13))
+        assert [b.n_paths for b in blocks] == [2048, 2048, 904]
+        assert {(b.policy_name, b.seed) for b in blocks} == {(pol.name, 13)}
+        assert np.array_equal(np.concatenate([b.B for b in blocks]), whole.B)
+        assert np.array_equal(np.concatenate([b.sigma_sq for b in blocks]),
+                              whole.sigma_sq)
+
+
+def test_sample_blocks_checks_its_arguments_and_guards_each_block(monkeypatch):
+    n = 10
+    lat = build_lattice(1.0, n, PARAMS)
+    with pytest.raises(ValueError, match="band"):
+        sample_blocks(lat, ConstantPolicy(2.0), 10, seed=0)  # before any next()
+    monkeypatch.setattr(glattice, "_MAX_WORKSET_BYTES", 25 * 2048 * n)
+    assert sum(b.n_paths for b in sample_blocks(lat, ConstantPolicy(1.0), 5000, 0)) == 5000
+    with pytest.raises(ValueError, match="ensemble too large"):
+        sample_paths(lat, ConstantPolicy(1.0), 5000, seed=0)
 
 
 def test_policy_without_a_schedule_rejected():

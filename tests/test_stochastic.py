@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gexpect.config import RunConfig
 from gexpect.gcore import ConstantPolicy, GParams, default_scenario_family
 from gexpect.glattice import (
     CylinderFunctional,
@@ -20,6 +21,7 @@ from gexpect.stochastic import (
     qv_identity_gap,
     quadratic_variation,
 )
+from gexpect.verifier import run_suite
 
 PARAMS = GParams(sigma_lower_sq=0.25, sigma_upper_sq=1.0)
 LAT = build_lattice(1.0, 50, PARAMS)
@@ -199,3 +201,13 @@ def test_sampler_and_values_on_stay_within_their_memory():
     ens = sample_paths(lat, fam.by_name("const-max"), n_paths, seed=2)
     eta = StepProcess.adapted(lambda x: x, n, name="B")
     assert _peak(lambda: eta.values_on(ens)) <= 1.35 * full
+
+
+def test_bdg_holds_a_few_row_blocks_not_its_ensembles():
+    # 20,000-path ensembles, read as 2,048-row blocks: the peak is a few
+    # (2048, 101) float64 arrays, where whole ensembles held about 60 of them
+    block = 2048 * 101 * 8
+    reports = []
+    peak = _peak(lambda: reports.extend(run_suite(RunConfig(timing=False), only=["bdg"])[0]))
+    assert len(reports) == 6 and all(r.passed for r in reports)
+    assert peak <= 12 * block, peak / block

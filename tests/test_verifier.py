@@ -180,13 +180,13 @@ def test_representation_requires_positive_lower_band():
                                                  ("compensator", 4)])
 def test_each_ensemble_is_sampled_once_per_check(monkeypatch, check, n_ensembles):
     calls = []
-    real = verifier.sample_paths
+    real = verifier.sample_blocks
 
     def recording(lat, policy, n_paths, seed, **kw):
         calls.append((policy.name, seed, n_paths, lat.n_steps))
         return real(lat, policy, min(n_paths, 1000), seed, **kw)
 
-    monkeypatch.setattr(verifier, "sample_paths", recording)
+    monkeypatch.setattr(verifier, "sample_blocks", recording)
     CHECKS[check](CFG)
     assert len(calls) == len(set(calls)) == n_ensembles
 
