@@ -22,6 +22,7 @@ from .config import RunConfig, load_config
 from .gcore import UsageError, default_scenario_family
 from .gheat import gnormal_expect
 from .glattice import (
+    _MAX_WORKSET_BYTES,
     CylinderFunctional,
     build_lattice,
     conditional_expect,
@@ -181,18 +182,18 @@ def cmd_conditional(args) -> int:
 
 
 # simulate streams its paths in row blocks, so its memory stays small whatever
-# n_paths is; it refuses a CSV beyond _MAX_CSV_BYTES at about _CSV_ROW_BYTES a
-# row (two ids and four float reprs) before it draws a path.
-_CSV_ROW_BYTES = 80
-_MAX_CSV_BYTES = 16 << 30
+# n_paths is.  It still refuses the ensembles that sample_paths refuses as one
+# array (25 bytes a path-step over the working-set cap, about 172 M
+# path-steps), so every ensemble it wrote before it writes now.
+_MAX_PATH_STEPS = _MAX_WORKSET_BYTES // 25
 
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     out = _output(args.csv or os.path.join(cfg.out_dir, "paths.csv"))
-    need = _CSV_ROW_BYTES * cfg.n_paths * (cfg.n_steps + 1)
-    if need > _MAX_CSV_BYTES:
-        raise ValueError(f"ensemble too large (about {need} bytes of CSV); "
+    if cfg.n_paths * cfg.n_steps > _MAX_PATH_STEPS:
+        raise ValueError(f"ensemble too large ({cfg.n_paths * cfg.n_steps} "
+                         f"path-steps, over {_MAX_PATH_STEPS}); "
                          "reduce n_paths or n_steps")
     lat = build_lattice(_horizon(args, cfg), cfg.n_steps, cfg.params,
                         cfg.sigma_refinement)
