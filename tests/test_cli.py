@@ -267,10 +267,7 @@ def test_simulate_beyond_the_memory_guard_is_numeric_error(capsys):
     rc = main(["simulate", "--policy", "const-max", "--n-paths", "2000000000"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numeric error: ensemble too large")
-
-
-def test_simulate_refuses_only_what_one_whole_ensemble_array_refused(capsys):
-    # the cap is the old whole-ensemble guard: 25 bytes a path-step
+    # the cap is the whole-ensemble array's guard, 25 bytes a path-step
     assert 25 * cli._MAX_PATH_STEPS <= cli._MAX_WORKSET_BYTES
     assert 25 * (cli._MAX_PATH_STEPS + 1) > cli._MAX_WORKSET_BYTES
     rc = main(["simulate", "--policy", "const-max", "--n-steps", "1",
